@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -21,6 +22,7 @@ from enkbf_lab.harness import (
     trial_bundle,
     write_result,
 )
+from enkbf_lab.ensemble import DETERMINISTIC_FPF, PERTURBED_OBSERVATION
 from enkbf_lab.linmodel import AssumptionError, ModelParams, TimeGrid
 from enkbf_lab.metrics import TrialRow, mse_curve, rate_fit
 
@@ -406,3 +408,47 @@ def _args(config=None, seed=None, workers=None, out=None, force=False):
 def test_load_result_summary_missing(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_result_summary(tmp_path)
+
+
+# Scalar state driven by two Brownian components: the rate experiments then
+# take the general (matrix) branch of the particle kernel.
+_DB2_MODEL = ModelParams(A=[[-1.0]], H=[[1.0]], sigma_B=[[0.6, 0.8]], m0=[0.0], Sigma0=[[1.0]])
+_GOLDEN_COMMON = dict(
+    grid=TimeGrid(T=0.2, dt=2e-3), N_list=(10, 20, 40), n_trials=30,
+    checkpoints=(0.1, 0.2), master_seed=20181017,
+)
+# sha256 of trials.csv as written by the per-trial, per-particle engine that
+# the trial-batched engine replaced; the batched engine must reproduce them.
+_GOLDEN = {
+    "convergence_dt_bias": (
+        dict(name="convergence", dt_bias_check=True, dt_bias_trials=3),
+        "dd7b8f5f8a8bd0b6fd90a2fba9dbd97d3fb27f2a50f2fb90e7e141db96f4f963",
+    ),
+    "chaos": (
+        dict(name="chaos"),
+        "4d7f109061dbb0a0a5685459491691b34106981d87e29ee0349c97ecc92de456",
+    ),
+    "convergence_perturbed_dB2": (
+        dict(name="convergence", model=_DB2_MODEL, variant=PERTURBED_OBSERVATION,
+             dt_bias_check=False),
+        "ca3c484172a4ab11d2fd75b1b0fdb2ae87c094a74f76e04878d5b3705fc2f364",
+    ),
+    "convergence_deterministic": (
+        dict(name="convergence", variant=DETERMINISTIC_FPF, dt_bias_check=True,
+             dt_bias_trials=3),
+        "f17d0598fa9096a8d30588339769e7f58d8dfa26e2ac79696bb9348c0052eca1",
+    ),
+    "chaos_dB2": (
+        dict(name="chaos", model=_DB2_MODEL),
+        "d85bc69eb2ecff18683fe57a04079a31b01c9d50f16c0cdc45e790b6ce686bd5",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN))
+def test_trials_csv_matches_golden_hash(case, tmp_path):
+    over, digest = _GOLDEN[case]
+    over = dict(over)
+    cfg = default_config(over.pop("name"), output_dir=str(tmp_path), **_GOLDEN_COMMON, **over)
+    run_experiment(cfg)
+    assert hashlib.sha256((tmp_path / "trials.csv").read_bytes()).hexdigest() == digest
