@@ -18,7 +18,7 @@ from typing import IO, Union
 
 import numpy as np
 
-from .linmodel import ModelParams, NoiseBundle, TimeGrid, psd_sqrt, symmetrize
+from .linmodel import ModelParams, NoiseBundle, TimeGrid, psd_sqrt
 
 __all__ = [
     "VariantParams",
@@ -31,6 +31,11 @@ __all__ = [
     "EnsembleCollapseError",
     "init_ensemble",
     "empirical_stats",
+    "ensemble_moments",
+    "particle_increments",
+    "particle_normals",
+    "particle_step",
+    "prior_states",
     "fpf_step",
     "coupled_step",
     "init_coupled",
@@ -42,9 +47,9 @@ __all__ = [
 ]
 
 # Sub-stream purposes within one particle's stream.
-_PURPOSE_INIT = 0
-_PURPOSE_PROCESS = 1
-_PURPOSE_OBS_PERTURB = 2
+PURPOSE_INIT = 0
+PURPOSE_PROCESS = 1
+PURPOSE_OBS_PERTURB = 2
 
 
 class EnsembleCollapseError(RuntimeError):
@@ -138,6 +143,15 @@ class CoupledSystem:
         return self.ensemble.N
 
 
+def prior_states(params: ModelParams, z: np.ndarray) -> np.ndarray:
+    """Prior draws m0 + Sigma0^(1/2) z for standard normals z of shape (..., d).
+
+    The product runs as one matrix-vector product per draw, so a batch of
+    draws matches drawing them one at a time bit for bit."""
+    L = psd_sqrt(params.Sigma0)
+    return params.m0 + (L @ z[..., None])[..., 0]
+
+
 def init_ensemble(
     params: ModelParams,
     N: int,
@@ -154,59 +168,150 @@ def init_ensemble(
     """
     if N < 2:
         raise ValueError("N must be at least 2")
-    L = psd_sqrt(params.Sigma0)
-    states = np.empty((N, params.d))
-    for i in range(N):
-        z = noise.child(i, _PURPOSE_INIT).normals(params.d)
-        states[i] = params.m0 + L @ z
-    return Ensemble(t=t0, states=states, variant=variant)
+    z = particle_normals(noise, N, PURPOSE_INIT, params.d)
+    return Ensemble(t=t0, states=prior_states(params, z), variant=variant)
+
+
+def particle_normals(noise: NoiseBundle, N: int, purpose: int, shape, batch=()) -> np.ndarray:
+    """Standard normals of sub-stream ``purpose`` of N particles, shape
+    S + (N,) + shape.
+
+    Particle i draws from ``noise.child(*batch, i, purpose)``.  ``batch``
+    holds leading stream-id components; those that are integer arrays
+    broadcast to S, which steps many trials' particles together."""
+    batch = tuple(c[..., None] if isinstance(c, np.ndarray) else c for c in batch)
+    return noise.child_normals(*batch, np.arange(N), purpose, shape=shape)
+
+
+def particle_increments(
+    noise: NoiseBundle, N: int, grid: TimeGrid, dim: int, purpose: int, batch=()
+) -> np.ndarray:
+    """Wiener increments N(0, dt I) of N particles over ``grid``, shape
+    S + (N, n_steps, dim); streams as in :func:`particle_normals`."""
+    out = particle_normals(noise, N, purpose, (grid.n_steps, dim), batch)
+    out *= np.sqrt(grid.dt)
+    return out
 
 
 def particle_process_noise(
     noise: NoiseBundle, N: int, grid: TimeGrid, d_B: int
 ) -> np.ndarray:
     """Pre-generated process increments for N particles, shape (n_steps, N, d_B)."""
-    out = np.empty((grid.n_steps, N, d_B))
-    for i in range(N):
-        out[:, i, :] = noise.child(i, _PURPOSE_PROCESS).brownian(grid.n_steps, d_B, grid.dt)
-    return out
+    return particle_increments(noise, N, grid, d_B, PURPOSE_PROCESS).transpose(1, 0, 2)
 
 
 def particle_obs_perturbations(
     noise: NoiseBundle, N: int, grid: TimeGrid, m: int
 ) -> np.ndarray:
     """Pre-generated observation perturbations, shape (n_steps, N, m)."""
-    out = np.empty((grid.n_steps, N, m))
-    for i in range(N):
-        out[:, i, :] = noise.child(i, _PURPOSE_OBS_PERTURB).brownian(grid.n_steps, m, grid.dt)
-    return out
+    return particle_increments(noise, N, grid, m, PURPOSE_OBS_PERTURB).transpose(1, 0, 2)
+
+
+def ensemble_moments(x: np.ndarray) -> tuple:
+    """Empirical means (..., d) and unbiased covariances (..., d, d) of
+    ensembles ``x`` of shape (..., N, d).
+
+    Every ensemble in a batch gets the bits of its own unbatched call: the
+    mean is ``x.mean(axis=-2)`` (spelled as its sum over N, without the
+    method's per-call overhead), and for d = 1 the variance is a stacked
+    dot product."""
+    N, d = x.shape[-2:]
+    mean = np.add.reduce(x, axis=-2) / N
+    e = x - mean[..., None, :]
+    if d == 1:
+        e = e[..., 0]
+        cov = (e[..., None, :] @ e[..., :, None]) / (N - 1)
+    else:
+        g = np.swapaxes(e, -1, -2) @ e
+        cov = 0.5 * (g + np.swapaxes(g, -1, -2)) / (N - 1)
+    return mean, cov
 
 
 def empirical_stats(ens: Ensemble) -> EnsembleStats:
     """Empirical mean, unbiased covariance, and error vectors of an ensemble."""
-    x = ens.states
-    N = x.shape[0]
-    mean = x.mean(axis=0)
-    errors = x - mean
-    if ens.d == 1:
-        e = errors[:, 0]
-        cov = np.array([[float(e @ e) / (N - 1)]])
-    else:
-        cov = symmetrize(errors.T @ errors) / (N - 1)
-    return EnsembleStats(mean=mean, cov=cov, errors=errors)
+    mean, cov = ensemble_moments(ens.states)
+    return EnsembleStats(mean=mean, cov=cov, errors=ens.states - mean)
 
 
 def _check_invertible(cov: np.ndarray) -> None:
-    if cov.shape == (1, 1):
-        w_min = tr = float(cov[0, 0])
+    if cov.shape[-2:] == (1, 1):
+        w_min = tr = cov[..., 0, 0]
     else:
-        w_min = float(np.linalg.eigvalsh(cov).min())
-        tr = float(np.trace(cov))
-    if w_min <= 0.0 or w_min < 1e-10 * tr:
+        w_min = np.linalg.eigvalsh(cov).min(axis=-1)
+        tr = np.trace(cov, axis1=-2, axis2=-1)
+    bad = (w_min <= 0.0) | (w_min < 1e-10 * tr)
+    if np.any(bad):
+        j = np.flatnonzero(bad)[0]
         raise EnsembleCollapseError(
-            f"empirical covariance is numerically singular (min eig {w_min:.3e}, "
-            f"trace {tr:.3e}); the gamma1 < 1 drift requires its inverse"
+            f"empirical covariance is numerically singular (min eig "
+            f"{float(np.ravel(w_min)[j]):.3e}, trace {float(np.ravel(tr)[j]):.3e}); "
+            "the gamma1 < 1 drift requires its inverse"
         )
+
+
+def particle_step(
+    x: np.ndarray,
+    mean: np.ndarray,
+    cov: np.ndarray,
+    dZ: np.ndarray,
+    dt: float,
+    params: ModelParams,
+    variant: VariantParams,
+    dB: np.ndarray | None = None,
+    dW: np.ndarray | None = None,
+) -> np.ndarray:
+    """One Euler step of ensembles ``x`` of shape (..., N, d): the particle
+    kernel behind :func:`fpf_step` and :func:`coupled_step`.
+
+    ``mean`` (..., d) and ``cov`` (..., d, d) are each ensemble's moments
+    at the step's start, which set the gain cov H^T: the empirical ones for
+    the finite-N filter, the exact filter's for mean-field copies (variant
+    (1, 0)).  ``dZ`` (..., m) are the observation increments, ``dB``
+    (..., N, d_B) the process increments (None means zero) and ``dW``
+    (..., N, m) the observation perturbations that gamma2 > 0 requires.
+    Leading axes broadcast.  Each ensemble of a batch goes through the
+    operations of an unbatched call, so batching does not change bits.
+    """
+    g1 = variant.gamma1
+    g2 = variant.gamma2
+    if g2 > 0.0 and dW is None:
+        raise ValueError("gamma2 > 0 requires per-particle dW_k perturbations")
+    if g1 < 1.0:
+        _check_invertible(cov)
+    if params.is_scalar:
+        xf = x[..., 0]
+        m = mean[..., :1]
+        s_val = cov[..., 0, :]
+        a = float(params.A[0, 0])
+        h = float(params.H[0, 0])
+        sb = float(params.sigma_B[0, 0])
+        K = s_val * h
+        new = xf + (a * dt) * xf
+        if dB is not None and g1 > 0.0:
+            new = new + (g1 * sb) * dB[..., 0]
+        if g1 < 1.0:
+            new = new + (0.5 * (1.0 - g1 * g1) * float(params.Sigma_B[0, 0]) / s_val * dt) * (
+                xf - m
+            )
+        pred = 0.5 * h * ((1.0 - g2 * g2) * m + (1.0 + g2 * g2) * xf)
+        innov = dZ[..., :1] - pred * dt
+        if g2 > 0.0:
+            innov = innov + g2 * dW[..., 0]
+        new = new + K * innov
+        return new[..., None]
+    mean = mean[..., None, :]
+    K = cov @ params.H.T  # (..., d, m)
+    new = x + (x @ params.A.T) * dt
+    if dB is not None and g1 > 0.0:
+        new = new + g1 * (dB @ params.sigma_B.T)
+    if g1 < 1.0:
+        G = 0.5 * (1.0 - g1 * g1) * (params.Sigma_B @ np.linalg.inv(cov))
+        new = new + ((x - mean) @ np.swapaxes(G, -1, -2)) * dt
+    pred = 0.5 * ((1.0 - g2 * g2) * mean + (1.0 + g2 * g2) * x)
+    innov = dZ[..., None, :] - (pred @ params.H.T) * dt
+    if g2 > 0.0:
+        innov = innov + g2 * dW
+    return new + innov @ np.swapaxes(K, -1, -2)
 
 
 def fpf_step(
@@ -228,10 +333,7 @@ def fpf_step(
     ``cov_override`` replaces the empirical covariance in the gain and
     spread terms (test hook for forced-gain couplings).
     """
-    g1 = ens.variant.gamma1
-    g2 = ens.variant.gamma2
     S = stats.cov if cov_override is None else np.atleast_2d(np.asarray(cov_override, float))
-    x = ens.states
     N = ens.N
     dZ_k = np.atleast_1d(np.asarray(dZ_k, dtype=float))
     if dZ_k.shape != (params.m,):
@@ -240,49 +342,13 @@ def fpf_step(
         dB_k = np.asarray(dB_k, dtype=float)
         if dB_k.shape != (N, params.d_B):
             raise ValueError(f"dB_k has shape {dB_k.shape}, expected {(N, params.d_B)}")
-    if g2 > 0.0:
-        if dW_k is None:
-            raise ValueError("gamma2 > 0 requires per-particle dW_k perturbations")
+    if ens.variant.gamma2 > 0.0 and dW_k is not None:
         dW_k = np.asarray(dW_k, dtype=float)
         if dW_k.shape != (N, params.m):
             raise ValueError(f"dW_k has shape {dW_k.shape}, expected {(N, params.m)}")
-    if g1 < 1.0:
-        _check_invertible(S)
-
-    if params.is_scalar:
-        xf = x[:, 0]
-        m = float(stats.mean[0])
-        s_val = float(S[0, 0])
-        a = float(params.A[0, 0])
-        h = float(params.H[0, 0])
-        sb = float(params.sigma_B[0, 0])
-        K = s_val * h
-        new = xf + (a * dt) * xf
-        if dB_k is not None and g1 > 0.0:
-            new = new + (g1 * sb) * dB_k[:, 0]
-        if g1 < 1.0:
-            new = new + (0.5 * (1.0 - g1 * g1) * float(params.Sigma_B[0, 0]) / s_val * dt) * (
-                xf - m
-            )
-        pred = 0.5 * h * ((1.0 - g2 * g2) * m + (1.0 + g2 * g2) * xf)
-        innov = float(dZ_k[0]) - pred * dt
-        if g2 > 0.0:
-            innov = innov + g2 * dW_k[:, 0]
-        new = new + K * innov
-        states = new[:, None]
-    else:
-        K = S @ params.H.T  # (d, m)
-        new = x + (x @ params.A.T) * dt
-        if dB_k is not None and g1 > 0.0:
-            new = new + g1 * (dB_k @ params.sigma_B.T)
-        if g1 < 1.0:
-            G = 0.5 * (1.0 - g1 * g1) * (params.Sigma_B @ np.linalg.inv(S))
-            new = new + ((x - stats.mean) @ G.T) * dt
-        pred = 0.5 * ((1.0 - g2 * g2) * stats.mean + (1.0 + g2 * g2) * x)
-        innov = dZ_k - (pred @ params.H.T) * dt
-        if g2 > 0.0:
-            innov = innov + g2 * dW_k
-        states = new + innov @ K.T
+    states = particle_step(
+        ens.states, stats.mean, S, dZ_k, dt, params, ens.variant, dB=dB_k, dW=dW_k
+    )
     return Ensemble(t=ens.t + dt, states=states, variant=ens.variant)
 
 
@@ -354,8 +420,10 @@ def coupled_step(
         sys.ensemble, stats, dZ_k, dt, params,
         dB_k=dB_k, dW_k=dW_k, cov_override=cov_override,
     )
-    new_copies = mean_field_copy_step(
-        sys.copies, kf_state.mean, kf_state.cov, dZ_k, dt, params, dB_k=dB_k
+    new_copies = particle_step(
+        sys.copies, np.atleast_1d(kf_state.mean), np.atleast_2d(kf_state.cov),
+        np.atleast_1d(np.asarray(dZ_k, dtype=float)), dt, params, STOCHASTIC_FPF,
+        dB=None if dB_k is None else np.asarray(dB_k, dtype=float),
     )
     return CoupledSystem(ensemble=new_ens, copies=new_copies)
 

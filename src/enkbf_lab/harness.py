@@ -12,9 +12,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import pickle
 import time
-from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from multiprocessing import get_context
@@ -23,17 +23,27 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import __version__
-from .ensemble import (
+# The whole particle API stays reachable as harness attributes, which
+# perfbench/tracing.py wraps to time each layer.
+from .ensemble import (  # noqa: F401
+    PURPOSE_INIT,
+    PURPOSE_OBS_PERTURB,
+    PURPOSE_PROCESS,
     STOCHASTIC_FPF,
     VariantParams,
+    coupled_step,
     empirical_stats,
+    ensemble_moments,
     fpf_step,
     init_coupled,
     init_ensemble,
-    coupled_step,
     mean_field_copy_step,
+    particle_increments,
+    particle_normals,
     particle_obs_perturbations,
     particle_process_noise,
+    particle_step,
+    prior_states,
 )
 from .kalman import FilterState, kb_filter
 from .linmodel import (
@@ -98,12 +108,13 @@ EXPERIMENTS = ("riccati_validation", "exactness", "stability", "convergence", "c
 # Internal sub-experiments get their own branch of the seed tree.
 _EXP_ID = {name: i for i, name in enumerate(EXPERIMENTS)}
 _EXP_ID["convergence_bias"] = len(EXPERIMENTS)
+INIT_FAMILIES = ("gaussian", "exponential")
 
 DEFAULT_SEED = 1618033988
 SLOPE_BAND = (-1.3, -0.7)
 R2_MIN = 0.9
-
-_KFView = namedtuple("_KFView", "t mean cov")
+# Mean squared errors at or below this (RMS 1e-12) are roundoff, not error.
+_ROUNDOFF_MSE = 1e-24
 
 
 class OutputDirConflict(RuntimeError):
@@ -123,7 +134,7 @@ class AltInit:
     var: float = 3.0
 
     def __post_init__(self):
-        if self.family not in ("gaussian", "exponential"):
+        if self.family not in INIT_FAMILIES:
             raise ValueError(f"unknown init family {self.family!r}")
         if self.var < 0.0:
             raise ValueError("var must be non-negative")
@@ -168,6 +179,16 @@ class ExperimentConfig:
             raise ValueError("p must be a positive integer")
         if int(self.master_seed) < 0:
             raise ValueError("master_seed must be a non-negative integer")
+        for name, low in (("record_every", 1), ("n_copies", 2), ("workers", 1),
+                          ("psi_grid_points", 2)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        if not self.compare_stride_t > 0.0:
+            raise ValueError(f"compare_stride_t must be positive, got {self.compare_stride_t}")
+        if self.init_family not in INIT_FAMILIES:
+            raise ValueError(
+                f"init_family must be one of {INIT_FAMILIES}, got {self.init_family!r}"
+            )
         for t in self.checkpoints:
             self.grid.index_of(t)  # must be grid nodes
         if self.name in ("convergence", "chaos"):
@@ -342,9 +363,14 @@ class ExperimentResult:
         return pts
 
 
+def _n_bundle(master_seed: int, name: str, N: int) -> NoiseBundle:
+    """Parent of the trial bundles of one experiment at one N."""
+    return NoiseBundle(master_seed, (_EXP_ID[name], N))
+
+
 def trial_bundle(master_seed: int, name: str, N: int, trial: int) -> NoiseBundle:
     """Root noise bundle for one trial of one experiment."""
-    return NoiseBundle(master_seed, (_EXP_ID[name], N, trial))
+    return _n_bundle(master_seed, name, N).child(trial)
 
 
 # ---------------------------------------------------------------------------
@@ -361,135 +387,149 @@ def _mean_err(m: np.ndarray, m_ref: np.ndarray) -> float:
     return float(np.linalg.norm(m - m_ref))
 
 
-def _convergence_trial(plan: dict, N: int, trial: int) -> list:
-    model: ModelParams = plan["model"]
-    grid: TimeGrid = plan["grid"]
-    variant: VariantParams = plan["variant"]
-    b = trial_bundle(plan["master_seed"], plan["exp"], N, trial)
-    truth = simulate_truth(model, grid, b.child(STREAM_TRUTH))
-    obs = simulate_observations(model, grid, truth, b.child(STREAM_OBS))
-    fp = kb_filter(model, grid, obs, cov_path=plan["cov_path"])
-    pb = b.child(STREAM_PARTICLE)
-    ens = init_ensemble(model, N, variant, pb, t0=grid.t0)
-    dB = particle_process_noise(pb, N, grid, model.d_B)
-    dW = (
-        particle_obs_perturbations(pb, N, grid, model.m)
-        if variant.gamma2 > 0.0
-        else None
-    )
-    ckpt = plan["ckpt_idx"]
-    rows = []
-    for k in range(grid.n_steps):
-        stats = empirical_stats(ens)
-        ens = fpf_step(
-            ens, stats, obs.dZ[k], grid.dt, model,
-            dB_k=dB[k], dW_k=None if dW is None else dW[k],
-        )
-        if (k + 1) in ckpt:
-            s_new = empirical_stats(ens)
-            t = grid.t0 + (k + 1) * grid.dt
-            rows.append(TrialRow(N, trial, t, "cov_err", _cov_err(s_new.cov, fp.covs[k + 1])))
-            rows.append(TrialRow(N, trial, t, "mean_err", _mean_err(s_new.mean, fp.means[k + 1])))
-    return rows
-
-
 def _pair_sum(fine: np.ndarray) -> np.ndarray:
-    """Aggregate increments on a half-step grid to the parent grid."""
-    return fine[0::2] + fine[1::2]
+    """Aggregate increments on a half-step grid (time axis -2) to the parent grid."""
+    return fine[..., 0::2, :] + fine[..., 1::2, :]
 
 
-def _bias_leg(model, grid, cov_path, variant, N, obs, x0_bundle, dB, ckpt_idx):
-    """One resolution of the coupled-refinement pair; returns squared errors."""
-    fp = kb_filter(model, grid, obs, cov_path=cov_path)
-    ens = init_ensemble(model, N, variant, x0_bundle, t0=grid.t0)
-    out = {}
+def _particle_draws(plan: dict, kind: str, N: int, trials: range, grid: TimeGrid) -> tuple:
+    """Initial states (B, N, d) and increments dB (B, N, n_steps, d_B) and
+    dW (same with m; None unless gamma2 > 0) of a block of trials.
+    Particle i of a trial draws from its ``trial_bundle(...).child(
+    STREAM_PARTICLE)`` sub-streams, as :func:`init_ensemble` and
+    :func:`particle_process_noise` would."""
+    model = plan["model"]
+    noise = _n_bundle(plan["master_seed"], kind, N)
+    batch = (np.asarray(trials), STREAM_PARTICLE)
+    x0 = prior_states(model, particle_normals(noise, N, PURPOSE_INIT, model.d, batch))
+    dB = particle_increments(noise, N, grid, model.d_B, PURPOSE_PROCESS, batch)
+    dW = None
+    if plan["variant"].gamma2 > 0.0:
+        dW = particle_increments(noise, N, grid, model.m, PURPOSE_OBS_PERTURB, batch)
+    return x0, dB, dW
+
+
+def _step_loop(model, grid, variant, x, dZ, dB, dW, ckpt_idx, kf_means=None, kf_covs=None):
+    """The trial loop: advance B trials of N particles, ``x`` of shape
+    (B, N, d), over ``grid`` and yield (k, x, mean, cov, copies) after each
+    step k in ``ckpt_idx``, with the particles' empirical moments.
+
+    dZ (B, n_steps, m) are the trials' observation increments, dB
+    (B, N, n_steps, d_B) and dW (same with m, or None) the particles'
+    increments.  Given the exact filter moments, kf_means (B, n_steps+1, d)
+    and kf_covs (n_steps+1, d, d), mean-field copies started at ``x`` are
+    advanced alongside with the same dB; otherwise copies is None.
+    """
+    dt = grid.dt
+    copies = None if kf_means is None else x
+    mean, cov = ensemble_moments(x)
     for k in range(grid.n_steps):
-        stats = empirical_stats(ens)
-        ens = fpf_step(ens, stats, obs.dZ[k], grid.dt, model, dB_k=dB[k])
-        if (k + 1) in ckpt_idx:
-            s_new = empirical_stats(ens)
-            t = grid.t0 + (k + 1) * grid.dt
-            out[round(t, 9)] = (
-                _cov_err(s_new.cov, fp.covs[k + 1]) ** 2,
-                _mean_err(s_new.mean, fp.means[k + 1]) ** 2,
+        dB_k = dB[:, :, k]
+        x = particle_step(
+            x, mean, cov, dZ[:, k], dt, model, variant,
+            dB=dB_k, dW=None if dW is None else dW[:, :, k],
+        )
+        if copies is not None:
+            copies = particle_step(
+                copies, kf_means[:, k], kf_covs[k], dZ[:, k], dt, model, STOCHASTIC_FPF, dB=dB_k
             )
-    return out
+        mean, cov = ensemble_moments(x)
+        if (k + 1) in ckpt_idx:
+            yield k + 1, x, mean, cov, copies
 
 
-def _convergence_bias_trial(plan: dict, N: int, trial: int) -> list:
-    """Coupled-refinement pair: one trial at dt and at dt/2 sharing the same
-    underlying Wiener paths, isolating the discretization bias."""
-    model: ModelParams = plan["model"]
-    grid: TimeGrid = plan["grid"]
-    fine = grid.refined()
-    variant: VariantParams = plan["variant"]
-    b = trial_bundle(plan["master_seed"], "convergence_bias", N, trial)
-
-    tb = b.child(STREAM_TRUTH)
-    dB_truth_f = tb.child(1).brownian(fine.n_steps, model.d_B, fine.dt)
-    truth_f = simulate_truth(model, fine, tb, dB=dB_truth_f)
-    truth_c = simulate_truth(model, grid, tb, dB=_pair_sum(dB_truth_f))
-
-    ob = b.child(STREAM_OBS)
-    dW_f = ob.child(1).brownian(fine.n_steps, model.m, fine.dt)
-    obs_f = simulate_observations(model, fine, truth_f, ob, dW=dW_f)
-    obs_c = simulate_observations(model, grid, truth_c, ob, dW=_pair_sum(dW_f))
-
-    pb = b.child(STREAM_PARTICLE)
-    dB_f = particle_process_noise(pb, N, fine, model.d_B)
-    dB_c = _pair_sum(dB_f)
-
-    ckpt_c = plan["ckpt_idx"]
-    ckpt_f = {2 * k for k in ckpt_c}
-    res_c = _bias_leg(model, grid, plan["cov_path"], variant, N, obs_c, pb, dB_c, ckpt_c)
-    res_f = _bias_leg(model, fine, plan["cov_path_fine"], variant, N, obs_f, pb, dB_f, ckpt_f)
-    rows = []
-    for t_key in sorted(res_c):
-        c2, m2 = res_c[t_key]
-        f2, g2 = res_f[t_key]
-        rows.append(TrialRow(N, trial, t_key, "bias_cov2_coarse", c2))
-        rows.append(TrialRow(N, trial, t_key, "bias_cov2_fine", f2))
-        rows.append(TrialRow(N, trial, t_key, "bias_mean2_coarse", m2))
-        rows.append(TrialRow(N, trial, t_key, "bias_mean2_fine", g2))
-    return rows
-
-
-def _chaos_trial(plan: dict, N: int, trial: int) -> list:
-    model: ModelParams = plan["model"]
-    grid: TimeGrid = plan["grid"]
-    variant: VariantParams = plan["variant"]
-    b = trial_bundle(plan["master_seed"], plan["exp"], N, trial)
+def _observed(plan: dict, kind: str, N: int, trial: int) -> tuple:
+    """Observation increments and exact filter means of one trial."""
+    model, grid = plan["model"], plan["grid"]
+    b = trial_bundle(plan["master_seed"], kind, N, trial)
     truth = simulate_truth(model, grid, b.child(STREAM_TRUTH))
     obs = simulate_observations(model, grid, truth, b.child(STREAM_OBS))
-    fp = kb_filter(model, grid, obs, cov_path=plan["cov_path"])
-    pb = b.child(STREAM_PARTICLE)
-    sys = init_coupled(init_ensemble(model, N, variant, pb, t0=grid.t0))
-    dB = particle_process_noise(pb, N, grid, model.d_B)
-    ckpt = plan["ckpt_idx"]
-    scalar = model.d == 1
-    rows = []
-    for k in range(grid.n_steps):
-        kf = _KFView(t=grid.t0 + k * grid.dt, mean=fp.means[k], cov=fp.covs[k])
-        sys = coupled_step(sys, kf, obs.dZ[k], grid.dt, model, dB_k=dB[k])
-        if (k + 1) in ckpt:
-            t = grid.t0 + (k + 1) * grid.dt
-            gap = sys.ensemble.states - sys.copies
-            coupling = float(np.mean(np.sum(gap * gap, axis=1)))
-            m_N = sys.ensemble.states.mean(axis=0)
-            fx_gap = float(np.sum((m_N - fp.means[k + 1]) ** 2))
-            rows.append(TrialRow(N, trial, t, "coupling_err", coupling))
-            rows.append(TrialRow(N, trial, t, "func_gap_x", fx_gap))
-            if scalar:
-                ref = folded_normal_mean(float(fp.means[k + 1, 0]), float(fp.covs[k + 1, 0, 0]))
-                emp = float(np.mean(np.abs(sys.ensemble.states[:, 0])))
-                rows.append(TrialRow(N, trial, t, "func_gap_absx", (emp - ref) ** 2))
+    return obs.dZ, kb_filter(model, grid, obs, cov_path=plan["cov_path"]).means
+
+
+def _chaos_rows(N, trial, t, states, copies, m_ref, S_ref) -> list:
+    gap = states - copies
+    coupling = float(np.mean(np.sum(gap * gap, axis=1)))
+    m_N = states.mean(axis=0)
+    fx_gap = float(np.sum((m_N - m_ref) ** 2))
+    rows = [
+        TrialRow(N, trial, t, "coupling_err", coupling),
+        TrialRow(N, trial, t, "func_gap_x", fx_gap),
+    ]
+    if states.shape[1] == 1:
+        ref = folded_normal_mean(float(m_ref[0]), float(S_ref[0, 0]))
+        emp = float(np.mean(np.abs(states[:, 0])))
+        rows.append(TrialRow(N, trial, t, "func_gap_absx", (emp - ref) ** 2))
     return rows
 
 
-_TRIAL_FNS = {
-    "convergence": _convergence_trial,
-    "convergence_bias": _convergence_bias_trial,
-    "chaos": _chaos_trial,
+def _rate_block(plan: dict, kind: str, N: int, trials: range) -> list:
+    """Rows of a block of convergence or chaos trials, stepped together."""
+    model, grid, variant = plan["model"], plan["grid"], plan["variant"]
+    observed = [_observed(plan, kind, N, trial) for trial in trials]
+    dZ = np.stack([o[0] for o in observed])
+    means = np.stack([o[1] for o in observed])
+    covs = plan["cov_path"]
+    x, dB, dW = _particle_draws(plan, kind, N, trials, grid)
+    chaos = kind == "chaos"
+    rows = []
+    for k, x, mean, cov, copies in _step_loop(
+        model, grid, variant, x, dZ, dB, dW, plan["ckpt_idx"],
+        kf_means=means if chaos else None, kf_covs=covs,
+    ):
+        t = grid.t0 + k * grid.dt
+        for j, trial in enumerate(trials):
+            if chaos:
+                rows.extend(_chaos_rows(N, trial, t, x[j], copies[j], means[j, k], covs[k]))
+            else:
+                rows.append(TrialRow(N, trial, t, "cov_err", _cov_err(cov[j], covs[k])))
+                rows.append(TrialRow(N, trial, t, "mean_err", _mean_err(mean[j], means[j, k])))
+    return rows
+
+
+def _bias_block(plan: dict, kind: str, N: int, trials: range) -> list:
+    """Coupled-refinement pairs: each trial at dt and at dt/2 sharing the
+    same underlying Wiener paths and initial particles, isolating the
+    discretization bias."""
+    model, grid, variant = plan["model"], plan["grid"], plan["variant"]
+    fine = grid.refined()
+    obs_c, obs_f = [], []
+    for trial in trials:
+        b = trial_bundle(plan["master_seed"], kind, N, trial)
+        tb = b.child(STREAM_TRUTH)
+        dB_truth_f = tb.child(1).brownian(fine.n_steps, model.d_B, fine.dt)
+        truth_f = simulate_truth(model, fine, tb, dB=dB_truth_f)
+        truth_c = simulate_truth(model, grid, tb, dB=_pair_sum(dB_truth_f))
+        ob = b.child(STREAM_OBS)
+        dW_f = ob.child(1).brownian(fine.n_steps, model.m, fine.dt)
+        obs_f.append(simulate_observations(model, fine, truth_f, ob, dW=dW_f))
+        obs_c.append(simulate_observations(model, grid, truth_c, ob, dW=_pair_sum(dW_f)))
+
+    x0, dB_f, dW_f = _particle_draws(plan, kind, N, trials, fine)
+    ckpt_c = plan["ckpt_idx"]
+    legs = (
+        ("coarse", grid, obs_c, plan["cov_path"], _pair_sum(dB_f),
+         None if dW_f is None else _pair_sum(dW_f), ckpt_c),
+        ("fine", fine, obs_f, plan["cov_path_fine"], dB_f, dW_f, {2 * k for k in ckpt_c}),
+    )
+    rows = []
+    for label, g, obs, covs, dB, dW, ckpt in legs:
+        means = np.stack([kb_filter(model, g, o, cov_path=covs).means for o in obs])
+        dZ = np.stack([o.dZ for o in obs])
+        for k, x, mean, cov, _ in _step_loop(model, g, variant, x0, dZ, dB, dW, ckpt):
+            t = round(g.t0 + k * g.dt, 9)
+            for j, trial in enumerate(trials):
+                rows.append(TrialRow(N, trial, t, f"bias_cov2_{label}",
+                                     _cov_err(cov[j], covs[k]) ** 2))
+                rows.append(TrialRow(N, trial, t, f"bias_mean2_{label}",
+                                     _mean_err(mean[j], means[j, k]) ** 2))
+    return rows
+
+
+_BLOCK_FNS = {
+    "convergence": _rate_block,
+    "convergence_bias": _bias_block,
+    "chaos": _rate_block,
 }
 
 _WORKER_PLAN: dict | None = None
@@ -500,31 +540,40 @@ def _init_worker(payload: bytes) -> None:
     _WORKER_PLAN = pickle.loads(payload)
 
 
-def _run_job(job) -> list:
+def _job_rows(plan: dict, job) -> list:
+    """Rows of a (kind, N, trial-range) job, its trials stepped in blocks.
+
+    A block of B trials holds B * N * n_steps * d_B process increments;
+    B = max_N // N keeps that at most what one trial at the largest N
+    needs."""
     kind, N, lo, hi = job
-    fn = _TRIAL_FNS[kind]
+    size = max(1, plan["max_N"] // N)
     rows = []
-    for trial in range(lo, hi):
-        rows.extend(fn(_WORKER_PLAN, N, trial))
+    for start in range(lo, hi, size):
+        rows.extend(_BLOCK_FNS[kind](plan, kind, N, range(start, min(hi, start + size))))
     return rows
 
 
+def _run_job(job) -> list:
+    return _job_rows(_WORKER_PLAN, job)
+
+
 def _run_trials(plan: dict, jobs: list, workers: int) -> list:
-    """Run (kind, N, trial-range) jobs, serially or on a process pool.
+    """Run (kind, N, trial-range) jobs, serially or on a process pool of
+    at most ``workers``, one per job and one per CPU.
 
     Aggregation sorts rows by (N, trial, t, quantity), so the outcome does
     not depend on worker count or completion order."""
     rows = []
-    if workers <= 1:
-        for kind, N, lo, hi in jobs:
-            fn = _TRIAL_FNS[kind]
-            for trial in range(lo, hi):
-                rows.extend(fn(plan, N, trial))
+    procs = min(workers, len(jobs), os.cpu_count() or 1)
+    if procs <= 1:
+        for job in jobs:
+            rows.extend(_job_rows(plan, job))
     else:
         payload = pickle.dumps(plan)
         ctx = get_context("spawn")
         with ProcessPoolExecutor(
-            max_workers=workers, mp_context=ctx,
+            max_workers=procs, mp_context=ctx,
             initializer=_init_worker, initargs=(payload,),
         ) as ex:
             for chunk in ex.map(_run_job, jobs):
@@ -534,15 +583,13 @@ def _run_trials(plan: dict, jobs: list, workers: int) -> list:
 
 
 def _make_jobs(kind: str, N_list, n_trials: int, workers: int) -> list:
-    chunk = max(1, math.ceil(n_trials / max(1, workers * 4)))
-    jobs = []
-    for N in N_list:
-        lo = 0
-        while lo < n_trials:
-            hi = min(n_trials, lo + chunk)
-            jobs.append((kind, N, lo, hi))
-            lo = hi
-    return jobs
+    """One job per N for one worker; for a pool, about four per worker and N."""
+    chunk = n_trials if workers <= 1 else math.ceil(n_trials / (workers * 4))
+    return [
+        (kind, N, lo, min(n_trials, lo + chunk))
+        for N in N_list
+        for lo in range(0, n_trials, chunk)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -955,6 +1002,19 @@ def _slope_assertions(result_fits, assertions, label):
         )
 
 
+def _rate_plan(cfg: ExperimentConfig, cov_path: np.ndarray) -> dict:
+    """What every trial of a rate experiment shares."""
+    return {
+        "master_seed": cfg.master_seed,
+        "model": cfg.model,
+        "grid": cfg.grid,
+        "variant": cfg.variant,
+        "cov_path": cov_path,
+        "ckpt_idx": frozenset(cfg.grid.index_of(t) for t in cfg.checkpoints),
+        "max_N": max(cfg.N_list),
+    }
+
+
 def run_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     """Finite-N moment-error rates against the exact filter."""
     t_start = time.perf_counter()
@@ -964,16 +1024,7 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     consts = _try_constants(model)
     bounds = theoretical_bounds(model, consts, cfg.p) if consts is not None else None
     cov_path = integrate_dre(model.Sigma0, model, grid)
-    ckpt_idx = frozenset(grid.index_of(t) for t in cfg.checkpoints)
-    plan = {
-        "exp": cfg.name,
-        "master_seed": cfg.master_seed,
-        "model": model,
-        "grid": grid,
-        "variant": cfg.variant,
-        "cov_path": cov_path,
-        "ckpt_idx": ckpt_idx,
-    }
+    plan = _rate_plan(cfg, cov_path)
     jobs = _make_jobs("convergence", cfg.N_list, cfg.n_trials, cfg.workers)
     if cfg.dt_bias_check:
         plan["cov_path_fine"] = integrate_dre(model.Sigma0, model, grid.refined())
@@ -1037,26 +1088,30 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentResult:
 
     if cfg.dt_bias_check:
         worst_change = 0.0
-        ok_bias = True
-        for q_pair in (("bias_cov2_coarse", "bias_cov2_fine"), ("bias_mean2_coarse", "bias_mean2_fine")):
+        both_zero = []
+        for q in ("bias_cov2", "bias_mean2"):
             for t in cfg.checkpoints:
-                c_vals = [r.value for r in rows if r.quantity == q_pair[0] and abs(r.t - t) <= 1e-9]
-                f_vals = [r.value for r in rows if r.quantity == q_pair[1] and abs(r.t - t) <= 1e-9]
+                c_vals = [r.value for r in rows if r.quantity == f"{q}_coarse" and abs(r.t - t) <= 1e-9]
+                f_vals = [r.value for r in rows if r.quantity == f"{q}_fine" and abs(r.t - t) <= 1e-9]
                 if not c_vals:
                     continue
                 mc, mf = float(np.mean(c_vals)), float(np.mean(f_vals))
-                change = abs(mf - mc) / mc
+                if max(mc, mf) <= _ROUNDOFF_MSE:
+                    # a noiseless model: both resolutions are exact
+                    both_zero.append(f"{q} at t={t:g}")
+                    continue
+                change = abs(mf - mc) / mc if mc > 0.0 else math.inf
                 worst_change = max(worst_change, change)
-                if change >= 0.2:
-                    ok_bias = False
-        assertions.append(
-            AssertionOutcome(
-                "dt_bias_control",
-                ok_bias,
-                f"halving dt changes the measured MSE by at most "
-                f"{100 * worst_change:.1f}% (limit 20%)",
-            )
+        detail = (
+            f"halving dt changes the measured MSE by at most "
+            f"{100 * worst_change:.1f}% (limit 20%)"
         )
+        if both_zero:
+            detail += (
+                f"; coarse and fine MSE both 0 up to roundoff (<= {_ROUNDOFF_MSE:g}) "
+                f"for {', '.join(both_zero)}"
+            )
+        assertions.append(AssertionOutcome("dt_bias_control", worst_change < 0.2, detail))
 
     md = _base_metadata(cfg, consts)
     if bounds is not None:
@@ -1086,15 +1141,7 @@ def run_chaos(cfg: ExperimentConfig) -> ExperimentResult:
         theoretical_bounds(model, consts, max(2, cfg.p)) if consts is not None else None
     )
     cov_path = integrate_dre(model.Sigma0, model, grid)
-    plan = {
-        "exp": cfg.name,
-        "master_seed": cfg.master_seed,
-        "model": model,
-        "grid": grid,
-        "variant": cfg.variant,
-        "cov_path": cov_path,
-        "ckpt_idx": frozenset(grid.index_of(t) for t in cfg.checkpoints),
-    }
+    plan = _rate_plan(cfg, cov_path)
     jobs = _make_jobs("chaos", cfg.N_list, cfg.n_trials, cfg.workers)
     rows = _run_trials(plan, jobs, cfg.workers)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Mapping, Union
@@ -26,14 +27,13 @@ __all__ = [
     "simulate_observations",
     "validate_assumptions",
     "path_to_csv",
+    "philox_keys",
     "symmetrize",
     "psd_sqrt",
     "STREAM_TRUTH",
     "STREAM_OBS",
     "STREAM_PARTICLE",
-    "STREAM_OBS_PERTURB",
     "STREAM_COPIES",
-    "STREAM_ALT_COPIES",
 ]
 
 # Stream roles for the seed tree.  A stream id is a tuple of non-negative
@@ -42,9 +42,7 @@ __all__ = [
 STREAM_TRUTH = 0
 STREAM_OBS = 1
 STREAM_PARTICLE = 2
-STREAM_OBS_PERTURB = 3
 STREAM_COPIES = 4
-STREAM_ALT_COPIES = 5
 
 _PSD_TOL = 1e-10
 
@@ -236,6 +234,121 @@ class TimeGrid:
         return TimeGrid(T=self.T, dt=self.dt / 2.0, t0=self.t0)
 
 
+# numpy.random.SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _uint32_words(n: int) -> list:
+    """SeedSequence's coercion of a non-negative int: uint32 words, least
+    significant first, at least one."""
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _philox_key_words(entropy: list, size: int) -> list:
+    """Key words of ``SeedSequence`` for ``size`` entropy records at once.
+
+    ``entropy`` holds the assembled entropy words in order, each an int
+    shared by every record or a uint32 array of length ``size``.  Returns
+    the four uint32 arrays of ``generate_state(4, uint32)``.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        r = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return r ^ (r >> np.uint32(16))
+
+    words = [np.broadcast_to(np.asarray(w, dtype=np.uint32), (size,)) for w in entropy]
+    zero = np.zeros(size, dtype=np.uint32)
+    pool = [hashmix(words[i] if i < len(words) else zero) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for w in words[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(w))
+    out = []
+    hash_const = _INIT_B
+    for value in pool:
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * np.uint32(hash_const)
+        out.append(value ^ (value >> np.uint32(16)))
+    return out
+
+
+def philox_keys(seed: int, spawn_key) -> np.ndarray:
+    """Philox keys of many seed-sequence spawn keys at once.
+
+    ``spawn_key`` is a sequence of components, each a non-negative int or
+    an array of non-negative integers below 2**64; the arrays broadcast to
+    a shape S.  Entry [j] of the result, shape S + (2,) and dtype uint64,
+    equals ``SeedSequence(seed, spawn_key=key_j).generate_state(2,
+    np.uint64)``, the key ``Philox(seed=SeedSequence(...))`` runs with,
+    where key_j takes entry j of every array component.
+    """
+    parts = []
+    for c in spawn_key:
+        if isinstance(c, np.ndarray):
+            if c.dtype.kind not in "iu":
+                raise ValueError(f"stream id arrays must hold integers, got {c.dtype}")
+            if c.size and c.min() < 0:
+                raise ValueError("stream id components must be non-negative")
+            parts.append(c.astype(np.uint64))
+        else:
+            c = int(c)
+            if c < 0:
+                raise ValueError("stream id components must be non-negative")
+            parts.append(c)
+    arrays = [p for p in parts if isinstance(p, np.ndarray)]
+    shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    size = math.prod(shape)
+    cols = [np.broadcast_to(a, shape).ravel() for a in arrays]
+    # a component takes two words from 2**32 on, so records group by which
+    # of their array components are that wide
+    wide = np.zeros(size, dtype=np.int64)
+    for j, c in enumerate(cols):
+        wide |= (c > _MASK32).astype(np.int64) << j
+    run = _uint32_words(int(seed))
+    keys = np.empty((size, 2), dtype=np.uint64)
+    for pattern in np.unique(wide):
+        rows = np.flatnonzero(wide == pattern)
+        spawn = []
+        j = 0
+        for p in parts:
+            if isinstance(p, np.ndarray):
+                col = cols[j][rows]
+                spawn.append((col & np.uint64(_MASK32)).astype(np.uint32))
+                if (pattern >> j) & 1:
+                    spawn.append((col >> np.uint64(32)).astype(np.uint32))
+                j += 1
+            else:
+                spawn.extend(_uint32_words(p))
+        entropy = run
+        if spawn and len(run) < _POOL_SIZE:
+            entropy = run + [0] * (_POOL_SIZE - len(run))
+        w = [x.astype(np.uint64) for x in _philox_key_words(entropy + spawn, len(rows))]
+        keys[rows, 0] = w[0] | (w[1] << np.uint64(32))
+        keys[rows, 1] = w[2] | (w[3] << np.uint64(32))
+    return keys.reshape(shape + (2,))
+
+
 def _as_stream(stream_id) -> tuple:
     if isinstance(stream_id, (int, np.integer)):
         stream = (int(stream_id),)
@@ -275,6 +388,29 @@ class NoiseBundle:
 
     def normals(self, shape) -> np.ndarray:
         return self.generator().standard_normal(shape)
+
+    def child_normals(self, *ids, shape=()) -> np.ndarray:
+        """Draws of many child streams at once, shape S + ``shape``.
+
+        Each of ``ids`` is an int or an integer array; the arrays broadcast
+        to S.  Entry [j] equals ``self.child(*ids_j).normals(shape)`` bit
+        for bit, where ids_j takes entry j of every array.  The keys come
+        from :func:`philox_keys` and one Philox generator is re-keyed per
+        stream, so no per-stream seed sequence or generator is built.
+        """
+        shape = (int(shape),) if np.ndim(shape) == 0 else tuple(int(n) for n in shape)
+        keys = philox_keys(self.seed, self.stream_id + ids)
+        out = np.empty(keys.shape[:-1] + shape)
+        keys = keys.reshape(-1, 2)
+        flat = out.reshape(len(keys), math.prod(shape))
+        bitgen = np.random.Philox(0)
+        gen = np.random.Generator(bitgen)
+        state = bitgen.state  # counter 0, empty buffer
+        for s, key in enumerate(keys):
+            state["state"]["key"] = key
+            bitgen.state = state
+            gen.standard_normal(out=flat[s])
+        return out
 
     def brownian(self, n_steps: int, dim: int, dt: float) -> np.ndarray:
         """Pre-generated Wiener increments, shape (n_steps, dim), each N(0, dt I)."""

@@ -19,6 +19,8 @@ SQRT5 = math.sqrt(5.0)
 SLOPE_LO, SLOPE_HI = harness.SLOPE_BAND
 R2_MIN = harness.R2_MIN
 
+pytestmark = pytest.mark.acceptance
+
 
 def announce(capsys, num, ok, detail):
     with capsys.disabled():

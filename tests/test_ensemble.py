@@ -3,9 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enkbf_lab.ensemble import (
     DETERMINISTIC_FPF,
+    PURPOSE_INIT,
+    PURPOSE_OBS_PERTURB,
+    PURPOSE_PROCESS,
     PERTURBED_OBSERVATION,
     STOCHASTIC_FPF,
     CoupledSystem,
@@ -14,13 +19,18 @@ from enkbf_lab.ensemble import (
     VariantParams,
     coupled_step,
     empirical_stats,
+    ensemble_moments,
     error_processes,
     fpf_step,
     init_coupled,
     init_ensemble,
     mean_field_copy_step,
     particle_obs_perturbations,
+    particle_increments,
+    particle_normals,
     particle_process_noise,
+    particle_step,
+    prior_states,
     snapshot_to_csv,
 )
 from enkbf_lab.kalman import FilterState, kb_filter
@@ -28,6 +38,7 @@ from enkbf_lab.linmodel import (
     ModelParams,
     NoiseBundle,
     TimeGrid,
+    psd_sqrt,
     simulate_observations,
     simulate_truth,
 )
@@ -407,3 +418,99 @@ class TestPsdAndExport:
         assert lines[0] == "time,particle,x0"
         assert lines[1] == "0.25,0,1.5"
         assert lines[2] == "0.25,1,-0.5"
+
+
+_KERNEL_MODELS = {
+    "scalar": ModelParams.scalar(a=-1.0, h=1.0, sigma_b=1.0, m0=0.0, sigma0=1.0),
+    # scalar state, two Brownian components: the matrix branch with d = 1
+    "dB2": ModelParams(A=[[-1.0]], H=[[1.0]], sigma_B=[[0.6, 0.8]], m0=[0.0], Sigma0=[[1.0]]),
+    "coupled2": ModelParams(
+        A=[[-1.0, 0.3], [0.0, -2.0]], H=[[1.0, 0.5]], sigma_B=[[1.0, 0.2], [0.0, 0.7]],
+        m0=[0.0, 1.0], Sigma0=[[1.0, 0.2], [0.2, 0.5]],
+    ),
+}
+
+
+class TestBatchedDraws:
+    def test_trial_block_draws_equal_per_trial_draws(self):
+        # Sigma0 with off-diagonal entries: prior_states must keep the
+        # per-draw matrix-vector product of init_ensemble
+        model = _KERNEL_MODELS["coupled2"]
+        noise = NoiseBundle(11, (3, 20))
+        grid = TimeGrid(T=0.05, dt=1e-2)
+        trials = np.array([0, 4, 7])
+        batch = (trials, 2)
+        x0 = prior_states(model, particle_normals(noise, 20, PURPOSE_INIT, model.d, batch))
+        dB = particle_increments(noise, 20, grid, model.d_B, PURPOSE_PROCESS, batch)
+        dW = particle_increments(noise, 20, grid, model.m, PURPOSE_OBS_PERTURB, batch)
+        for j, t in enumerate(trials):
+            pb = noise.child(int(t), 2)
+            ens = init_ensemble(model, 20, STOCHASTIC_FPF, pb)
+            assert np.array_equal(x0[j], ens.states)
+            assert np.array_equal(dB[j].transpose(1, 0, 2),
+                                  particle_process_noise(pb, 20, grid, model.d_B))
+            assert np.array_equal(dW[j].transpose(1, 0, 2),
+                                  particle_obs_perturbations(pb, 20, grid, model.m))
+
+    def test_init_ensemble_equals_one_generator_per_particle(self):
+        model = _KERNEL_MODELS["coupled2"]
+        pb = NoiseBundle(5, (1, 2))
+        states = init_ensemble(model, 6, STOCHASTIC_FPF, pb).states
+        root = psd_sqrt(model.Sigma0)
+        for i in range(6):
+            z = pb.child(i, PURPOSE_INIT).generator().standard_normal(model.d)
+            assert np.array_equal(states[i], model.m0 + root @ z)
+
+
+class TestBatchedKernel:
+    """``particle_step`` on a (B, N, d) batch must give every trial the bits
+    of the per-trial public step."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        B=st.integers(min_value=1, max_value=4),
+        N=st.integers(min_value=3, max_value=40),
+        variant=st.sampled_from([STOCHASTIC_FPF, DETERMINISTIC_FPF, PERTURBED_OBSERVATION]),
+        name=st.sampled_from(sorted(_KERNEL_MODELS)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batched_step_equals_per_trial_fpf_step(self, seed, B, N, variant, name):
+        model = _KERNEL_MODELS[name]
+        rng = np.random.default_rng(seed)
+        dt = 1e-2
+        x = rng.standard_normal((B, N, model.d))
+        dZ = rng.standard_normal((B, model.m)) * math.sqrt(dt)
+        dB = rng.standard_normal((B, N, model.d_B)) * math.sqrt(dt)
+        dW = rng.standard_normal((B, N, model.m)) * math.sqrt(dt)
+        if variant.gamma2 == 0.0:
+            dW = None
+        mean, cov = ensemble_moments(x)
+        got = particle_step(x, mean, cov, dZ, dt, model, variant, dB=dB, dW=dW)
+        for j in range(B):
+            ens = Ensemble(t=0.0, states=x[j], variant=variant)
+            stats = empirical_stats(ens)
+            assert np.array_equal(stats.mean, mean[j])
+            assert np.array_equal(stats.cov, cov[j])
+            want = fpf_step(ens, stats, dZ[j], dt, model, dB_k=dB[j],
+                            dW_k=None if dW is None else dW[j])
+            assert np.array_equal(got[j], want.states)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        B=st.integers(min_value=1, max_value=4),
+        name=st.sampled_from(sorted(_KERNEL_MODELS)),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_exact_moment_step_equals_mean_field_copy_step(self, seed, B, name):
+        model = _KERNEL_MODELS[name]
+        rng = np.random.default_rng(seed)
+        dt, N = 1e-2, 7
+        x = rng.standard_normal((B, N, model.d))
+        dZ = rng.standard_normal((B, model.m)) * math.sqrt(dt)
+        dB = rng.standard_normal((B, N, model.d_B)) * math.sqrt(dt)
+        kf_mean = rng.standard_normal((B, model.d))
+        kf_cov = model.Sigma0 * rng.uniform(0.1, 2.0)
+        got = particle_step(x, kf_mean, kf_cov, dZ, dt, model, STOCHASTIC_FPF, dB=dB)
+        for j in range(B):
+            want = mean_field_copy_step(x[j], kf_mean[j], kf_cov, dZ[j], dt, model, dB_k=dB[j])
+            assert np.array_equal(got[j], want)

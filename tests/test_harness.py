@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from enkbf_lab import cli
+from enkbf_lab import cli, harness
 from enkbf_lab.harness import (
     AltInit,
     ExperimentConfig,
@@ -75,6 +75,15 @@ class TestConfig:
     def test_alt_init_validation(self):
         with pytest.raises(ValueError):
             AltInit(family="cauchy")
+
+    @pytest.mark.parametrize("field, value", [
+        ("record_every", 0), ("n_copies", 1), ("workers", 0), ("psi_grid_points", 1),
+        ("compare_stride_t", 0.0), ("compare_stride_t", float("nan")),
+        ("init_family", "cauchy"),
+    ])
+    def test_bad_field_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            tiny_convergence_cfg(**{field: value})
 
 
 class TestSeedTree:
@@ -299,6 +308,16 @@ class TestDegenerateConfigs:
         assert gap < 1e-12
         assert res.passed, [a for a in res.assertions if not a.passed]
 
+    def test_noiseless_convergence_passes_dt_bias_check(self):
+        # sigma_B = 0 and Sigma0 = 0: both resolutions are exact, and the
+        # relative change of a zero MSE is undefined
+        model = ModelParams.scalar(a=-1.0, h=1.0, sigma_b=0.0, m0=0.5, sigma0=0.0)
+        cfg = tiny_convergence_cfg(model=model, dt_bias_check=True, dt_bias_trials=2)
+        res = run_experiment(cfg)
+        check = next(a for a in res.assertions if a.name == "dt_bias_control")
+        assert check.passed, check.detail
+        assert "both 0" in check.detail
+
     def test_stability_requires_constants(self):
         model = ModelParams.scalar(a=-1.0, h=1.0, sigma_b=0.0, m0=0.0, sigma0=1.0)
         cfg = default_config(
@@ -317,6 +336,41 @@ def test_synthetic_rate_rows_fit_slope_minus_one():
     fit = rate_fit(mse_curve(rows, "particle_coupling", t=1.0))
     assert fit.slope == pytest.approx(-1.0, abs=1e-12)
     assert fit.r_squared == pytest.approx(1.0)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size and runs
+    the jobs in this process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers, mp_context, initializer, initargs):
+        self.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("workers, cpus, expected", [(64, 3, 3), (64, 1000, 30), (2, 1000, 2)])
+def test_pool_size_clamped_to_jobs_and_cpus(monkeypatch, workers, cpus, expected):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(harness, "_WORKER_PLAN", None)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    # 30 trials at one N: one job per trial once workers * 4 >= 30
+    small = dict(N_list=(25,), checkpoints=(0.5,), grid=TimeGrid(T=0.5, dt=5e-2))
+    cfg = tiny_convergence_cfg(workers=workers, **small)
+    serial = tiny_convergence_cfg(**small)
+    rows = harness.run_convergence(cfg).rows
+    assert _RecordingPool.sizes == [expected]
+    assert rows == harness.run_convergence(serial).rows
 
 
 class TestChaosSmall:

@@ -11,6 +11,7 @@ from enkbf_lab.linmodel import (
     NoiseBundle,
     TimeGrid,
     path_to_csv,
+    philox_keys,
     simulate_observations,
     simulate_truth,
     validate_assumptions,
@@ -132,6 +133,45 @@ class TestNoiseBundle:
         x = NoiseBundle(seed, (sid,)).normals(8)
         y = NoiseBundle(seed, (sid,)).normals(8)
         assert np.array_equal(x, y)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**130),
+        prefix=st.lists(st.integers(min_value=0, max_value=2**70), max_size=5),
+        ids=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=6),
+        purpose=st.integers(min_value=0, max_value=2**40),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_batched_keys_equal_seed_sequence(self, seed, prefix, ids, purpose):
+        arr = np.array(ids, dtype=np.uint64)
+        keys = philox_keys(seed, tuple(prefix) + (arr, purpose))
+        for key, i in zip(keys, ids):
+            ss = np.random.SeedSequence(seed, spawn_key=tuple(prefix) + (i, purpose))
+            assert np.array_equal(key, ss.generate_state(2, np.uint64))
+        plain = np.random.SeedSequence(seed, spawn_key=tuple(prefix))
+        assert np.array_equal(philox_keys(seed, tuple(prefix)), plain.generate_state(2, np.uint64))
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**64),
+        prefix=st.lists(st.integers(min_value=0, max_value=2**33), max_size=3),
+        trials=st.integers(min_value=1, max_value=3),
+        particles=st.integers(min_value=1, max_value=4),
+        shape=st.sampled_from([(), 3, (5, 2), (0, 1)]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_batched_draws_equal_per_stream_draws(self, seed, prefix, trials, particles, shape):
+        b = NoiseBundle(seed, tuple(prefix))
+        got = b.child_normals(np.arange(trials)[:, None], 2, np.arange(particles), 1, shape=shape)
+        want = np.array([[b.child(t, 2, i, 1).generator().standard_normal(shape)
+                          for i in range(particles)] for t in range(trials)])
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_batched_draws_reject_bad_ids(self):
+        b = NoiseBundle(3, (1,))
+        with pytest.raises(ValueError, match="non-negative"):
+            b.child_normals(np.array([0, -1]), shape=2)
+        with pytest.raises(ValueError, match="integers"):
+            b.child_normals(np.array([0.5]), shape=2)
 
     def test_brownian_increment_scale(self):
         dB = NoiseBundle(99, (0,)).brownian(200_000, 1, dt=0.25)
