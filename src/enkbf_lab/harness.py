@@ -583,7 +583,9 @@ def _run_trials(plan: dict, jobs: list, workers: int) -> list:
 
 
 def _make_jobs(kind: str, N_list, n_trials: int, workers: int) -> list:
-    """One job per N for one worker; for a pool, about four per worker and N."""
+    """One job per N for one process; for a pool, about four per process
+    and N, counting only the processes one per CPU allows."""
+    workers = min(workers, os.cpu_count() or 1)
     chunk = n_trials if workers <= 1 else math.ceil(n_trials / (workers * 4))
     return [
         (kind, N, lo, min(n_trials, lo + chunk))

@@ -364,7 +364,7 @@ def test_pool_size_clamped_to_jobs_and_cpus(monkeypatch, workers, cpus, expected
     monkeypatch.setattr(harness, "_WORKER_PLAN", None)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
-    # 30 trials at one N: one job per trial once workers * 4 >= 30
+    # 30 trials at one N, in jobs sized for min(workers, cpus) processes
     small = dict(N_list=(25,), checkpoints=(0.5,), grid=TimeGrid(T=0.5, dt=5e-2))
     cfg = tiny_convergence_cfg(workers=workers, **small)
     serial = tiny_convergence_cfg(**small)
