@@ -18,7 +18,7 @@ from typing import IO, Union
 
 import numpy as np
 
-from .linmodel import ModelParams, NoiseBundle, TimeGrid, psd_sqrt
+from .linmodel import ModelParams, NoiseBundle, TimeGrid, psd_sqrt, text_sink
 
 __all__ = [
     "VariantParams",
@@ -249,6 +249,14 @@ def _check_invertible(cov: np.ndarray) -> None:
         )
 
 
+def _weighted_sum(mean, x, g2):
+    """(1 - g2^2) mean + (1 + g2^2) x; both weights are 1 when g2 = 0, so
+    the sum is then taken without them, to the same bits."""
+    if g2 == 0.0:
+        return mean + x
+    return (1.0 - g2 * g2) * mean + (1.0 + g2 * g2) * x
+
+
 def particle_step(
     x: np.ndarray,
     mean: np.ndarray,
@@ -260,8 +268,9 @@ def particle_step(
     dB: np.ndarray | None = None,
     dW: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One Euler step of ensembles ``x`` of shape (..., N, d): the particle
-    kernel behind :func:`fpf_step` and :func:`coupled_step`.
+    """One Euler step of ensembles ``x`` of shape (..., N, d): the one
+    particle and copy update, which :func:`fpf_step`,
+    :func:`mean_field_copy_step` and :func:`coupled_step` wrap.
 
     ``mean`` (..., d) and ``cov`` (..., d, d) are each ensemble's moments
     at the step's start, which set the gain cov H^T: the empirical ones for
@@ -269,8 +278,12 @@ def particle_step(
     (1, 0)).  ``dZ`` (..., m) are the observation increments, ``dB``
     (..., N, d_B) the process increments (None means zero) and ``dW``
     (..., N, m) the observation perturbations that gamma2 > 0 requires.
-    Leading axes broadcast.  Each ensemble of a batch goes through the
-    operations of an unbatched call, so batching does not change bits.
+    ``x`` carries the whole batch shape; the leading axes of the other
+    arguments broadcast against it.  Each ensemble of a batch goes through
+    the operations of an unbatched call, so batching does not change bits.
+    The update builds two arrays, the new states and the innovations, and
+    works on both in place: on large populations a fresh temporary per
+    term costs page faults that outweigh the arithmetic.
     """
     g1 = variant.gamma1
     g2 = variant.gamma2
@@ -285,33 +298,35 @@ def particle_step(
         a = float(params.A[0, 0])
         h = float(params.H[0, 0])
         sb = float(params.sigma_B[0, 0])
-        K = s_val * h
         new = xf + (a * dt) * xf
         if dB is not None and g1 > 0.0:
-            new = new + (g1 * sb) * dB[..., 0]
+            new += (g1 * sb) * dB[..., 0]
         if g1 < 1.0:
-            new = new + (0.5 * (1.0 - g1 * g1) * float(params.Sigma_B[0, 0]) / s_val * dt) * (
-                xf - m
-            )
-        pred = 0.5 * h * ((1.0 - g2 * g2) * m + (1.0 + g2 * g2) * xf)
-        innov = dZ[..., :1] - pred * dt
+            new += (0.5 * (1.0 - g1 * g1) * float(params.Sigma_B[0, 0]) / s_val * dt) * (xf - m)
+        innov = _weighted_sum(m, xf, g2)
+        innov *= 0.5 * h
+        innov *= dt
+        np.subtract(dZ[..., :1], innov, out=innov)
         if g2 > 0.0:
-            innov = innov + g2 * dW[..., 0]
-        new = new + K * innov
+            innov += g2 * dW[..., 0]
+        innov *= s_val * h
+        new += innov
         return new[..., None]
     mean = mean[..., None, :]
-    K = cov @ params.H.T  # (..., d, m)
     new = x + (x @ params.A.T) * dt
     if dB is not None and g1 > 0.0:
-        new = new + g1 * (dB @ params.sigma_B.T)
+        noise = dB @ params.sigma_B.T
+        new += noise if g1 == 1.0 else g1 * noise
     if g1 < 1.0:
         G = 0.5 * (1.0 - g1 * g1) * (params.Sigma_B @ np.linalg.inv(cov))
-        new = new + ((x - mean) @ np.swapaxes(G, -1, -2)) * dt
-    pred = 0.5 * ((1.0 - g2 * g2) * mean + (1.0 + g2 * g2) * x)
-    innov = dZ[..., None, :] - (pred @ params.H.T) * dt
+        new += ((x - mean) @ np.swapaxes(G, -1, -2)) * dt
+    innov = (0.5 * _weighted_sum(mean, x, g2)) @ params.H.T
+    innov *= dt
+    np.subtract(dZ[..., None, :], innov, out=innov)
     if g2 > 0.0:
-        innov = innov + g2 * dW
-    return new + innov @ np.swapaxes(K, -1, -2)
+        innov += g2 * dW
+    new += innov @ np.swapaxes(cov @ params.H.T, -1, -2)
+    return new
 
 
 def fpf_step(
@@ -365,28 +380,14 @@ def mean_field_copy_step(
 
     Xbar^i <- Xbar^i + A Xbar^i dt + sigma_B dB^i
               + Sigma_t H^T (dZ - H (Xbar^i + m_t) dt / 2)
-    where (m_t, Sigma_t) is the exact filter state at the same time.
+    where (m_t, Sigma_t) is the exact filter state at the same time: the
+    particle step of variant (1, 0) fed the exact moments.
     """
-    x = np.asarray(copies, dtype=float)
-    if params.is_scalar:
-        xf = x[:, 0]
-        a = float(params.A[0, 0])
-        h = float(params.H[0, 0])
-        sb = float(params.sigma_B[0, 0])
-        K = float(kf_cov[0, 0]) * h
-        m = float(kf_mean[0])
-        new = xf + (a * dt) * xf
-        if dB_k is not None:
-            new = new + sb * np.asarray(dB_k, float)[:, 0]
-        new = new + K * (float(np.atleast_1d(dZ_k)[0]) - 0.5 * h * (xf + m) * dt)
-        return new[:, None]
-    K = np.atleast_2d(kf_cov) @ params.H.T
-    mean = np.atleast_1d(kf_mean)
-    new = x + (x @ params.A.T) * dt
-    if dB_k is not None:
-        new = new + np.asarray(dB_k, float) @ params.sigma_B.T
-    innov = np.atleast_1d(dZ_k) - 0.5 * ((x + mean) @ params.H.T) * dt
-    return new + innov @ K.T
+    return particle_step(
+        np.asarray(copies, dtype=float), np.atleast_1d(kf_mean), np.atleast_2d(kf_cov),
+        np.atleast_1d(np.asarray(dZ_k, dtype=float)), dt, params, STOCHASTIC_FPF,
+        dB=None if dB_k is None else np.asarray(dB_k, dtype=float),
+    )
 
 
 def init_coupled(ens: Ensemble) -> CoupledSystem:
@@ -420,10 +421,8 @@ def coupled_step(
         sys.ensemble, stats, dZ_k, dt, params,
         dB_k=dB_k, dW_k=dW_k, cov_override=cov_override,
     )
-    new_copies = particle_step(
-        sys.copies, np.atleast_1d(kf_state.mean), np.atleast_2d(kf_state.cov),
-        np.atleast_1d(np.asarray(dZ_k, dtype=float)), dt, params, STOCHASTIC_FPF,
-        dB=None if dB_k is None else np.asarray(dB_k, dtype=float),
+    new_copies = mean_field_copy_step(
+        sys.copies, kf_state.mean, kf_state.cov, dZ_k, dt, params, dB_k=dB_k
     )
     return CoupledSystem(ensemble=new_ens, copies=new_copies)
 
@@ -442,15 +441,8 @@ def error_processes(sys: CoupledSystem, kf_state) -> tuple[np.ndarray, np.ndarra
 def snapshot_to_csv(ens: Ensemble, dest: Union[str, Path, IO[str]]) -> None:
     """CSV export of an ensemble snapshot: time, particle index, components."""
     header = ["time", "particle"] + [f"x{j}" for j in range(ens.d)]
-
-    def write(fh):
+    with text_sink(dest) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         for i, row in enumerate(ens.states):
             w.writerow([repr(float(ens.t)), i] + [repr(float(v)) for v in row])
-
-    if hasattr(dest, "write"):
-        write(dest)
-    else:
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write(fh)

@@ -9,7 +9,7 @@ from typing import IO, Union
 
 import numpy as np
 
-from .linmodel import ModelParams, ObservationIncrements, TimeGrid, symmetrize
+from .linmodel import ModelParams, ObservationIncrements, TimeGrid, symmetrize, text_sink
 from .riccati import integrate_dre
 
 __all__ = ["FilterState", "FilterPath", "kb_filter", "filter_path_to_csv"]
@@ -44,12 +44,6 @@ class FilterPath:
 
     def state(self, k: int) -> FilterState:
         return FilterState(t=float(self.times[k]), mean=self.means[k], cov=self.covs[k])
-
-    def state_at(self, t: float) -> FilterState:
-        k = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[k] - t) > 1e-9:
-            raise ValueError(f"t={t} is not a node of the filter path")
-        return self.state(k)
 
 
 def kb_filter(
@@ -124,8 +118,7 @@ def filter_path_to_csv(path: FilterPath, dest: Union[str, Path, IO[str]]) -> Non
         + [f"m{i}" for i in range(d)]
         + [f"cov{i}{j}" for i in range(d) for j in range(i, d)]
     )
-
-    def write(fh):
+    with text_sink(dest) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         for t, mean, cov in zip(path.times, path.means, path.covs):
@@ -133,9 +126,3 @@ def filter_path_to_csv(path: FilterPath, dest: Union[str, Path, IO[str]]) -> Non
             row += [repr(float(v)) for v in mean]
             row += [repr(float(cov[i, j])) for i in range(d) for j in range(i, d)]
             w.writerow(row)
-
-    if hasattr(dest, "write"):
-        write(dest)
-    else:
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write(fh)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Mapping, Union
@@ -30,6 +31,7 @@ __all__ = [
     "philox_keys",
     "symmetrize",
     "psd_sqrt",
+    "text_sink",
     "STREAM_TRUTH",
     "STREAM_OBS",
     "STREAM_PARTICLE",
@@ -54,6 +56,17 @@ class AssumptionError(RuntimeError):
 def symmetrize(M: np.ndarray) -> np.ndarray:
     """Return the symmetric part (M + M^T) / 2."""
     return 0.5 * (M + M.T)
+
+
+@contextmanager
+def text_sink(dest: Union[str, Path, IO[str]]):
+    """``dest`` itself if it is file-like, else the file at that path,
+    opened for UTF-8 text without newline translation."""
+    if hasattr(dest, "write"):
+        yield dest
+    else:
+        with open(dest, "w", encoding="utf-8", newline="") as fh:
+            yield fh
 
 
 def psd_sqrt(S: np.ndarray) -> np.ndarray:
@@ -580,16 +593,9 @@ def path_to_csv(times: np.ndarray, path: np.ndarray, dest: Union[str, Path, IO[s
     path = np.atleast_2d(np.asarray(path, dtype=float))
     if path.shape[0] != len(times):
         raise ValueError("times and path lengths differ")
-
-    def write(fh):
+    with text_sink(dest) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["time", "component", "value"])
         for t, row in zip(times, path):
             for j, v in enumerate(row):
                 w.writerow([repr(float(t)), j, repr(float(v))])
-
-    if hasattr(dest, "write"):
-        write(dest)
-    else:
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write(fh)

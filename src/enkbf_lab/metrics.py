@@ -8,7 +8,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linmodel import ModelParams, symmetrize
+from .linmodel import ModelParams, psd_sqrt, symmetrize
 from .riccati import StabilityConstants
 
 __all__ = [
@@ -22,6 +22,7 @@ __all__ = [
     "RateFit",
     "mse_curve",
     "rate_fit",
+    "line_fit",
     "InsufficientTrialsError",
     "QUANTITIES",
 ]
@@ -101,12 +102,6 @@ def theoretical_bounds(
     )
 
 
-def _psd_sqrt_clamped(S: np.ndarray) -> np.ndarray:
-    w, V = np.linalg.eigh(S)
-    w = np.clip(w, 0.0, None)
-    return (V * np.sqrt(w)) @ V.T
-
-
 def gaussian_w2(m1, S1, m2, S2) -> float:
     """L2-Wasserstein distance between N(m1, S1) and N(m2, S2).
 
@@ -126,8 +121,8 @@ def gaussian_w2(m1, S1, m2, S2) -> float:
             raise ValueError(f"covariance is not PSD (min eig {w.min():.3e})")
     if np.array_equal(m1, m2) and np.array_equal(S1, S2):
         return 0.0  # identity of indiscernibles, exactly
-    root2 = _psd_sqrt_clamped(S2)
-    cross = _psd_sqrt_clamped(symmetrize(root2 @ S1 @ root2))
+    root2 = psd_sqrt(S2)
+    cross = psd_sqrt(symmetrize(root2 @ S1 @ root2))
     w2_sq = float(np.sum((m1 - m2) ** 2) + np.trace(S1 + S2 - 2.0 * cross))
     return math.sqrt(max(w2_sq, 0.0))
 
@@ -273,8 +268,17 @@ def rate_fit(curve: Sequence) -> RateFit:
         raise ValueError("rate fit needs at least 3 points")
     if any(err <= 0.0 for _, err in points):
         raise ValueError("rate fit needs strictly positive error values")
-    x = np.log([float(N) for N, _ in points])
-    y = np.log([err for _, err in points])
+    slope, intercept, r2 = line_fit(
+        np.log([float(N) for N, _ in points]), np.log([err for _, err in points])
+    )
+    return RateFit(points=tuple(points), slope=slope, intercept=intercept, r_squared=r2)
+
+
+def line_fit(x, y) -> tuple:
+    """Least-squares line y = slope * x + intercept; returns (slope,
+    intercept, r_squared), with r^2 = 1 for an exact fit to constant y."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     A = np.vstack([x, np.ones_like(x)]).T
     (slope, intercept), *_ = np.linalg.lstsq(A, y, rcond=None)
     resid = y - (slope * x + intercept)
@@ -284,9 +288,4 @@ def rate_fit(curve: Sequence) -> RateFit:
         r2 = 1.0 if ss_res <= 1e-30 else 0.0
     else:
         r2 = 1.0 - ss_res / ss_tot
-    return RateFit(
-        points=tuple(points),
-        slope=float(slope),
-        intercept=float(intercept),
-        r_squared=float(r2),
-    )
+    return float(slope), float(intercept), float(r2)

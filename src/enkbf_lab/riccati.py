@@ -20,6 +20,7 @@ from .linmodel import (
     ModelParams,
     TimeGrid,
     symmetrize,
+    text_sink,
     validate_assumptions,
 )
 
@@ -179,11 +180,8 @@ class StabilityConstants:
         return "\n".join(lines) + "\n"
 
     def write_text(self, dest: Union[str, IO[str]]) -> None:
-        if hasattr(dest, "write"):
-            dest.write(self.to_text())
-        else:
-            with open(dest, "w", encoding="utf-8") as fh:
-                fh.write(self.to_text())
+        with text_sink(dest) as fh:
+            fh.write(self.to_text())
 
 
 def _solve_lyapunov(F: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -307,55 +305,19 @@ def solve_are(
     )
 
 
-def _adaptive_gauss_legendre(
-    f: Callable[[float], np.ndarray],
-    a: float,
-    b: float,
-    tol: float,
-    order: int = 10,
-    max_doublings: int = 14,
-) -> np.ndarray:
-    """Composite Gauss-Legendre quadrature of a matrix integrand.
-
-    Panels are doubled until the max-abs entrywise change falls below tol.
-    """
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-
-    def composite(n_panels: int) -> np.ndarray:
-        edges = np.linspace(a, b, n_panels + 1)
-        total = None
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            mid = 0.5 * (lo + hi)
-            half = 0.5 * (hi - lo)
-            for x, wgt in zip(nodes, weights):
-                val = f(mid + half * x) * (wgt * half)
-                total = val if total is None else total + val
-        return total
-
-    prev = composite(1)
-    n = 2
-    for _ in range(max_doublings):
-        cur = composite(n)
-        if np.max(np.abs(cur - prev)) < tol:
-            return cur
-        prev = cur
-        n *= 2
-    return prev
-
-
 def explicit_dre_solution(
     Sigma0: np.ndarray,
     consts: StabilityConstants,
     params: ModelParams,
     t: float,
-    quad_tol: float = 1e-10,
 ) -> np.ndarray:
     """Closed-form DRE solution at time t.
 
     Sigma_t = Sigma_inf + e^{F t} D_t^{-1} e^{F^T t} with F = f_inf and
     D_t = (Sigma0 - Sigma_inf)^{-1} + int_0^t e^{F^T s} H^T H e^{F s} ds.
-    The integral uses adaptive Gauss-Legendre panels with the matrix
-    exponential evaluated by scaling and squaring.
+    F is Hurwitz, so the observability Gramian in D_t is X - e^{F^T t} X e^{F t}
+    with F^T X + X F = -H^T H; the matrix exponential is evaluated by
+    scaling and squaring.
 
     Sigma0 = Sigma_inf returns the equilibrium directly; a singular but
     nonzero Sigma0 - Sigma_inf is refused (the formula is undefined there).
@@ -375,15 +337,9 @@ def explicit_dre_solution(
             "Sigma0 - Sigma_inf is singular but nonzero; the closed-form "
             f"solution is undefined (eigenvalues {w_delta.tolist()})"
         )
-    HtH = params.H.T @ params.H
-    D = np.linalg.inv(delta)
-    if t > 0.0:
-        def integrand(s: float) -> np.ndarray:
-            E = expm(F * s)
-            return E.T @ HtH @ E
-
-        D = D + _adaptive_gauss_legendre(integrand, 0.0, t, quad_tol)
+    X = _solve_lyapunov(F.T, -(params.H.T @ params.H))
     Et = expm(F * t)
+    D = np.linalg.inv(delta) + (X - Et.T @ X @ Et)
     return symmetrize(Sinf + Et @ np.linalg.inv(D) @ Et.T)
 
 

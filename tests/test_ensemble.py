@@ -67,6 +67,32 @@ def reference_step(x, dZ, dt, a, h, sb, sigma_b_sq, dB, dW, g1, g2):
     return out
 
 
+def reference_copy_step(copies, kf_mean, kf_cov, dZ_k, dt, params, dB_k=None):
+    """The mean-field copy step as a kernel of its own: the exact-gain update
+    Xbar <- Xbar + A Xbar dt + sigma_B dB + Sigma_t H^T (dZ - H (Xbar + m_t) dt / 2)
+    that the particle step with exact moments must reproduce bit for bit."""
+    x = np.asarray(copies, dtype=float)
+    if params.is_scalar:
+        xf = x[:, 0]
+        a = float(params.A[0, 0])
+        h = float(params.H[0, 0])
+        sb = float(params.sigma_B[0, 0])
+        K = float(kf_cov[0, 0]) * h
+        m = float(kf_mean[0])
+        new = xf + (a * dt) * xf
+        if dB_k is not None:
+            new = new + sb * np.asarray(dB_k, float)[:, 0]
+        new = new + K * (float(np.atleast_1d(dZ_k)[0]) - 0.5 * h * (xf + m) * dt)
+        return new[:, None]
+    K = np.atleast_2d(kf_cov) @ params.H.T
+    mean = np.atleast_1d(kf_mean)
+    new = x + (x @ params.A.T) * dt
+    if dB_k is not None:
+        new = new + np.asarray(dB_k, float) @ params.sigma_B.T
+    innov = np.atleast_1d(dZ_k) - 0.5 * ((x + mean) @ params.H.T) * dt
+    return new + innov @ K.T
+
+
 class TestInitEnsemble:
     def test_degenerate_prior_collapses_to_mean(self):
         m = ModelParams.scalar(a=-1.0, h=1.0, sigma_b=1.0, m0=2.5, sigma0=0.0)
@@ -512,5 +538,7 @@ class TestBatchedKernel:
         kf_cov = model.Sigma0 * rng.uniform(0.1, 2.0)
         got = particle_step(x, kf_mean, kf_cov, dZ, dt, model, STOCHASTIC_FPF, dB=dB)
         for j in range(B):
-            want = mean_field_copy_step(x[j], kf_mean[j], kf_cov, dZ[j], dt, model, dB_k=dB[j])
+            want = reference_copy_step(x[j], kf_mean[j], kf_cov, dZ[j], dt, model, dB_k=dB[j])
             assert np.array_equal(got[j], want)
+            copy = mean_field_copy_step(x[j], kf_mean[j], kf_cov, dZ[j], dt, model, dB_k=dB[j])
+            assert np.array_equal(copy, want)

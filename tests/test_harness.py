@@ -1,9 +1,12 @@
+import dataclasses
 import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enkbf_lab import cli, harness
 from enkbf_lab.harness import (
@@ -22,7 +25,7 @@ from enkbf_lab.harness import (
     trial_bundle,
     write_result,
 )
-from enkbf_lab.ensemble import DETERMINISTIC_FPF, PERTURBED_OBSERVATION
+from enkbf_lab.ensemble import DETERMINISTIC_FPF, PERTURBED_OBSERVATION, VariantParams
 from enkbf_lab.linmodel import AssumptionError, ModelParams, TimeGrid
 from enkbf_lab.metrics import TrialRow, mse_curve, rate_fit
 
@@ -79,11 +82,84 @@ class TestConfig:
     @pytest.mark.parametrize("field, value", [
         ("record_every", 0), ("n_copies", 1), ("workers", 0), ("psi_grid_points", 1),
         ("compare_stride_t", 0.0), ("compare_stride_t", float("nan")),
-        ("init_family", "cauchy"),
+        ("init_family", "cauchy"), ("dt_bias_trials", 0), ("psi_dt", 0.0), ("psi_dt", -1e-3),
     ])
     def test_bad_field_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=field):
             tiny_convergence_cfg(**{field: value})
+
+
+_CODEC_MODELS = (
+    acceptance_model(),
+    diag2_model(),
+    ModelParams(A=[[-1.0]], H=[[1.0]], sigma_B=[[0.6, 0.8]], m0=[0.5], Sigma0=[[2.0]]),
+)
+_finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+@st.composite
+def _configs(draw):
+    dt = draw(st.sampled_from([1e-3, 2e-3, 0.01, 0.25]))
+    n = draw(st.integers(min_value=1, max_value=400))
+    t0 = draw(st.sampled_from([0.0, 0.5]))
+    grid = TimeGrid(T=t0 + n * dt, dt=dt, t0=t0)
+    ckpt = draw(st.lists(st.integers(min_value=0, max_value=n), unique=True, max_size=3))
+    p = draw(st.integers(min_value=1, max_value=3))
+    return ExperimentConfig(
+        name=draw(st.sampled_from(harness.EXPERIMENTS)),
+        model=draw(st.sampled_from(_CODEC_MODELS)),
+        grid=grid,
+        N_list=draw(st.lists(st.integers(min_value=4 * p + 1, max_value=10**6),
+                             min_size=1, max_size=4, unique=True)),
+        n_trials=draw(st.integers(min_value=1, max_value=10**4)),
+        p=p,
+        variant=VariantParams(draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))),
+        master_seed=draw(st.integers(min_value=0, max_value=2**70)),
+        output_dir=draw(st.none() | st.just("somewhere")),
+        checkpoints=[t0 + k * dt for k in ckpt],
+        n_copies=draw(st.integers(min_value=2, max_value=10**6)),
+        init_family=draw(st.sampled_from(harness.INIT_FAMILIES)),
+        alt_init=AltInit(draw(st.sampled_from(harness.INIT_FAMILIES)), draw(_finite),
+                         draw(st.floats(0.0, 1e6))),
+        record_every=draw(st.integers(min_value=1, max_value=10**4)),
+        w2_fit_window=(draw(_finite), draw(_finite)),
+        psi_grid_points=draw(st.integers(min_value=2, max_value=100)),
+        psi_dt=draw(st.floats(min_value=1e-6, max_value=1.0)),
+        compare_stride_t=draw(st.floats(min_value=1e-6, max_value=10.0)),
+        dt_bias_check=draw(st.booleans()),
+        dt_bias_trials=draw(st.integers(min_value=1, max_value=10**4)),
+        workers=draw(st.integers(min_value=1, max_value=64)),
+    )
+
+
+class TestConfigCodec:
+    @given(cfg=_configs())
+    @settings(max_examples=100, deadline=None)
+    def test_json_roundtrip_keeps_every_field(self, cfg):
+        data = json.loads(json.dumps(cfg.to_json()))
+        back = ExperimentConfig.from_json(data)
+        for f in dataclasses.fields(ExperimentConfig):
+            if f.name in ("output_dir", "workers"):
+                assert f.name not in data
+                assert getattr(back, f.name) == f.default
+            elif f.name == "model":
+                assert back.model.to_config() == cfg.model.to_config()
+            else:
+                assert getattr(back, f.name) == getattr(cfg, f.name), f.name
+        assert config_hash(back) == config_hash(cfg)
+
+    def test_missing_keys_take_class_defaults(self):
+        data = {"name": "exactness", "model": acceptance_model().to_config(),
+                "grid": {"T": 5.0, "dt": 1e-3}}
+        back = ExperimentConfig.from_json(data)
+        assert back.n_trials == 200 and back.psi_dt == 1e-3 and back.checkpoints == (1.0, 2.0, 5.0)
+        assert back.alt_init == AltInit() and back.variant == VariantParams()
+
+    def test_unknown_key_rejected_by_name(self):
+        data = tiny_convergence_cfg().to_json()
+        data["n_trails"] = 5
+        with pytest.raises(ValueError, match="n_trails"):
+            ExperimentConfig.from_json(data)
 
 
 class TestSeedTree:
@@ -317,6 +393,11 @@ class TestDegenerateConfigs:
         check = next(a for a in res.assertions if a.name == "dt_bias_control")
         assert check.passed, check.detail
         assert "both 0" in check.detail
+        # the last checkpoint's level is roundoff against an exact 0 at the first
+        uniform = next(a for a in res.assertions if a.name == "uniform_in_time")
+        assert uniform.passed, uniform.detail
+        assert "both 0 up to roundoff" in uniform.detail
+        assert res.passed, [a for a in res.assertions if not a.passed]
 
     def test_stability_requires_constants(self):
         model = ModelParams.scalar(a=-1.0, h=1.0, sigma_b=0.0, m0=0.0, sigma0=1.0)
@@ -499,10 +580,36 @@ _GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(_GOLDEN))
+# sha256 of trials.csv as written with the separate mean-field copy kernel
+# and hand-written moment estimators, before `particle_step` replaced them.
+_MEANFIELD_COMMON = dict(master_seed=20181017)
+_EXACTNESS_SMALL = dict(
+    name="exactness", grid=TimeGrid(T=0.2, dt=2e-3), n_copies=2000, checkpoints=(0.1, 0.2),
+)
+_GOLDEN_MEANFIELD = {
+    "exactness_gaussian": (
+        _EXACTNESS_SMALL,
+        "6eef291beed243a9a17997caa4faee46a49b0239485d2903af50d8bae621f215",
+    ),
+    "exactness_exponential": (
+        dict(_EXACTNESS_SMALL, init_family="exponential"),
+        "6f2764f956bbe7a485d196104f6407876381c33caa173ce5c1c7c22498b7ed76",
+    ),
+    "stability_diag2": (
+        dict(name="stability", model=diag2_model(), grid=TimeGrid(T=0.4, dt=2e-3),
+             n_copies=500, record_every=20, w2_fit_window=(0.1, 0.4)),
+        "d32b94f6e98dd06543df6ebdc50d0a7230778547f65189b4dd58b20bd5691a41",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN) + sorted(_GOLDEN_MEANFIELD))
 def test_trials_csv_matches_golden_hash(case, tmp_path):
-    over, digest = _GOLDEN[case]
+    if case in _GOLDEN:
+        (over, digest), common = _GOLDEN[case], _GOLDEN_COMMON
+    else:
+        (over, digest), common = _GOLDEN_MEANFIELD[case], _MEANFIELD_COMMON
     over = dict(over)
-    cfg = default_config(over.pop("name"), output_dir=str(tmp_path), **_GOLDEN_COMMON, **over)
+    cfg = default_config(over.pop("name"), output_dir=str(tmp_path), **common, **over)
     run_experiment(cfg)
     assert hashlib.sha256((tmp_path / "trials.csv").read_bytes()).hexdigest() == digest
