@@ -72,6 +72,8 @@ from .metrics import (
 )
 from .riccati import (
     StabilityConstants,
+    explicit_dre_solution,
+    fit_envelope_constant,
     integrate_dre,
     solve_are,
     spectral_norm,
@@ -607,8 +609,10 @@ def run_riccati_validation(cfg: ExperimentConfig) -> ExperimentResult:
     certify the ARE residual, and check the square-root flow envelope."""
     t_start = time.perf_counter()
     model = cfg.model
-    report = validate_assumptions(model)
-    report.require("a1")
+    try:
+        validate_assumptions(model).require("a1", "a2")
+    except AssumptionError as exc:
+        raise AssumptionError(f"{cfg.name} refused: {exc}") from exc
     consts = solve_are(model)
     rows: list = []
     assertions: list = []
@@ -617,8 +621,6 @@ def run_riccati_validation(cfg: ExperimentConfig) -> ExperimentResult:
     dre_path = integrate_dre(model.Sigma0, model, cfg.grid)
     stride = max(1, int(round(cfg.compare_stride_t / cfg.grid.dt)))
     max_rel = 0.0
-    from .riccati import explicit_dre_solution
-
     for k in range(0, cfg.grid.n_steps + 1, stride):
         t = cfg.grid.t0 + k * cfg.grid.dt
         closed = explicit_dre_solution(model.Sigma0, consts, model, t)
@@ -700,9 +702,8 @@ def run_riccati_validation(cfg: ExperimentConfig) -> ExperimentResult:
     for t0 in (0.0, 0.5, 1.0, 2.0):
         sel = [(n, t - s) for s, t, n in phi_records if s >= t0 - 1e-12]
         if sel:
-            phi_kappa[t0] = float(
-                max(n * math.exp(lam * gap) for n, gap in sel)
-            )
+            norms, gaps = zip(*sel)
+            phi_kappa[t0] = fit_envelope_constant(norms, gaps, lam)
     rows.sort(key=lambda r: r.sort_key())
 
     md = _base_metadata(cfg, consts)

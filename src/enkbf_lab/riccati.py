@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, IO, Sequence, Union
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, solve_continuous_are, solve_continuous_lyapunov
 
 from .linmodel import (
     AssumptionError,
@@ -33,7 +33,6 @@ __all__ = [
     "StabilityConstants",
     "ricc_rhs",
     "sqrt_ricc",
-    "dre_step_rk4",
     "integrate_dre",
     "explicit_dre_solution",
     "solve_are",
@@ -60,9 +59,8 @@ class DegenerateInitialCovariance(RiccatiError):
 
 
 class AreConvergenceError(RiccatiError):
-    def __init__(self, message: str, residual_history: Sequence[float]):
-        super().__init__(f"{message}; residual history {list(residual_history)}")
-        self.residual_history = list(residual_history)
+    """The ARE solve failed, or its solution failed the residual,
+    definiteness or Hurwitz check."""
 
 
 class PathCoverageError(RiccatiError):
@@ -70,10 +68,12 @@ class PathCoverageError(RiccatiError):
 
 
 def spectral_norm(M: np.ndarray) -> float:
-    M = np.atleast_2d(M)
-    if M.shape == (1, 1):
-        return abs(float(M[0, 0]))
-    return float(np.linalg.norm(M, 2))
+    return float(np.linalg.norm(np.atleast_2d(M), 2))
+
+
+def _ricc(Q: np.ndarray, A: np.ndarray, Sigma_B: np.ndarray, HtH: np.ndarray) -> np.ndarray:
+    AQ = A @ Q
+    return AQ + AQ.T + Sigma_B - Q @ HtH @ Q
 
 
 def ricc_rhs(Q: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -82,9 +82,7 @@ def ricc_rhs(Q: np.ndarray, params: ModelParams) -> np.ndarray:
     d = params.d
     if Q.shape != (d, d):
         raise ValueError(f"Q has shape {Q.shape}, expected {(d, d)}")
-    HtH = params.H.T @ params.H
-    AQ = params.A @ Q
-    return AQ + AQ.T + params.Sigma_B - Q @ HtH @ Q
+    return _ricc(Q, params.A, params.Sigma_B, params.H.T @ params.H)
 
 
 def sqrt_ricc(Q: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -96,21 +94,7 @@ def sqrt_ricc(Q: np.ndarray, params: ModelParams) -> np.ndarray:
     return params.A - 0.5 * Q @ (params.H.T @ params.H)
 
 
-def dre_step_rk4(Q: np.ndarray, dt: float, params: ModelParams) -> np.ndarray:
-    """One classical RK4 step of the DRE, symmetrized."""
-    k1 = ricc_rhs(Q, params)
-    k2 = ricc_rhs(Q + 0.5 * dt * k1, params)
-    k3 = ricc_rhs(Q + 0.5 * dt * k2, params)
-    k4 = ricc_rhs(Q + dt * k3, params)
-    return symmetrize(Q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-
-
-def integrate_dre(
-    Sigma0: np.ndarray,
-    params: ModelParams,
-    grid: TimeGrid,
-    check_psd: bool = True,
-) -> np.ndarray:
+def integrate_dre(Sigma0: np.ndarray, params: ModelParams, grid: TimeGrid) -> np.ndarray:
     """Deterministic RK4 integration of the DRE on the grid.
 
     Returns the array of covariances, shape (n_steps + 1, d, d).  Every
@@ -121,17 +105,22 @@ def integrate_dre(
     Q = symmetrize(np.atleast_2d(np.asarray(Sigma0, dtype=float)))
     if Q.shape != (d, d):
         raise ValueError(f"Sigma0 has shape {Q.shape}, expected {(d, d)}")
+    A, Sigma_B, HtH = params.A, params.Sigma_B, params.H.T @ params.H
+    dt = grid.dt
     out = np.empty((grid.n_steps + 1, d, d))
     out[0] = Q
     for k in range(grid.n_steps):
-        Q = dre_step_rk4(Q, grid.dt, params)
-        if check_psd:
-            w_min = float(np.linalg.eigvalsh(Q).min())
-            if w_min < -1e-10 * max(1.0, float(np.abs(Q).max())):
-                raise CovarianceStepError(
-                    f"covariance lost PSD at step {k + 1} (min eig {w_min:.3e}); "
-                    f"dt={grid.dt} is too large for this model"
-                )
+        k1 = _ricc(Q, A, Sigma_B, HtH)
+        k2 = _ricc(Q + 0.5 * dt * k1, A, Sigma_B, HtH)
+        k3 = _ricc(Q + 0.5 * dt * k2, A, Sigma_B, HtH)
+        k4 = _ricc(Q + dt * k3, A, Sigma_B, HtH)
+        Q = symmetrize(Q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        w_min = float(np.linalg.eigvalsh(Q).min())
+        if w_min < -1e-10 * max(1.0, float(np.abs(Q).max())):
+            raise CovarianceStepError(
+                f"covariance lost PSD at step {k + 1} (min eig {w_min:.3e}); "
+                f"dt={dt} is too large for this model"
+            )
         out[k + 1] = Q
     return out
 
@@ -140,12 +129,17 @@ def integrate_dre(
 class StabilityConstants:
     """Steady-state quantities and decay constants for a model.
 
-    sigma_inf solves the ARE, f_inf = A - sigma_inf H^T H, lambda0 is the
-    spectral-abscissa margin of f_inf, beta = lmin(Sigma_B) / (2 lmax(sigma_inf)),
-    and alpha = exp(sqrt(cond) * m1_hat * ||H^T H|| / (2 beta)) * sqrt(cond).
+    sigma_inf is the stabilizing solution of the ARE Ricc(Sigma) = 0 and
+    are_residual its Frobenius residual ||Ricc(sigma_inf)||_F;
+    f_inf = A - sigma_inf H^T H, lambda0 is the spectral-abscissa margin of
+    f_inf, beta = lmin(Sigma_B) / (2 lmax(sigma_inf)), and
+    alpha = exp(sqrt(cond) * m1_hat * ||H^T H|| / (2 beta)) * sqrt(cond),
+    which is inf when beta = 0 (A2 fails) or the exponent leaves the float
+    range, as it does for ill-conditioned sigma_inf.
     m1_hat is the fitted envelope constant sup_t ||Sigma_t - sigma_inf||
     * exp(2 * lambda_fit * t) with lambda_fit = 0.9 * lambda0, fitted on the
-    DRE path from the model prior over [0, fit_T] at step fit_dt.
+    DRE path from the model prior over [0, fit_T] at step fit_dt
+    (fit_dt = 1e-3, fit_T = max(5, round(8 / lambda0, 3))).
     """
 
     sigma_inf: np.ndarray
@@ -184,31 +178,15 @@ class StabilityConstants:
             fh.write(self.to_text())
 
 
-def _solve_lyapunov(F: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Solve F X + X F^T = R by Kronecker vectorization (small d only)."""
-    d = F.shape[0]
-    I = np.eye(d)
-    K = np.kron(F, I) + np.kron(I, F)
-    x = np.linalg.solve(K, R.reshape(-1))
-    return x.reshape(d, d)
-
-
-def solve_are(
-    params: ModelParams,
-    *,
-    residual_tol: float = 1e-8,
-    burn_dt: float = 1e-2,
-    burn_max_T: float = 400.0,
-    newton_max: int = 60,
-    fit_dt: float = 1e-3,
-    fit_T: float | None = None,
-) -> StabilityConstants:
+def solve_are(params: ModelParams) -> StabilityConstants:
     """Solve Ricc(Sigma) = 0 and assemble the stability constants.
 
-    Method: integrate the DRE from the identity until the residual stalls,
-    then polish with Newton steps, each solving the Lyapunov equation
-    F_k D + D F_k^T = -Ricc(Q_k) with F_k = A - Q_k H^T H.  Convergence
-    target is ||Ricc(Sigma)||_F <= residual_tol * (1 + ||Sigma||_F).
+    The stabilizing solution comes from scipy's Schur-method
+    ``solve_continuous_are`` (the filter ARE is the control ARE of
+    (A^T, H^T) with weights Sigma_B and I_m).  It is then checked:
+    ||Ricc(Sigma)||_F <= 1e-8 * (1 + ||Sigma||_F), Sigma positive definite
+    and f_inf Hurwitz; a failed check or a failed solve raises
+    :class:`AreConvergenceError`.  A1 is required.
     """
     report = validate_assumptions(params)
     if not report.a1:
@@ -216,81 +194,38 @@ def solve_are(
             "ARE solve requires detectability and stabilizability (A1); "
             f"detectable={report.detectable}, stabilizable={report.stabilizable}"
         )
-    d = params.d
     HtH = params.H.T @ params.H
-
-    def residual(Q):
-        return float(np.linalg.norm(ricc_rhs(Q, params), "fro"))
-
-    # Burn-in: follow the flow from the identity until progress stalls.
-    Q = np.eye(d)
-    t = 0.0
-    prev = residual(Q)
-    while t < burn_max_T:
-        for _ in range(100):
-            Q = dre_step_rk4(Q, burn_dt, params)
-        t += 100 * burn_dt
-        res = residual(Q)
-        if res < 1e-6 or res > 0.99 * prev:
-            break
-        prev = res
-
-    history = [residual(Q)]
-    tol = residual_tol * (1.0 + float(np.linalg.norm(Q, "fro")))
-    for _ in range(newton_max):
-        R = ricc_rhs(Q, params)
-        res = float(np.linalg.norm(R, "fro"))
-        history.append(res)
-        tol = residual_tol * (1.0 + float(np.linalg.norm(Q, "fro")))
-        if res <= tol * 1e-4:
-            break  # already at the noise floor
-        F = params.A - Q @ HtH
-        try:
-            delta = _solve_lyapunov(F, -R)
-        except np.linalg.LinAlgError as exc:
-            raise AreConvergenceError(f"Newton Lyapunov solve failed: {exc}", history)
-        Q = symmetrize(Q + delta)
-        if len(history) > 3 and history[-1] > tol and history[-1] > 10.0 * history[-3]:
-            raise AreConvergenceError("Newton iteration diverged", history)
-    final_res = residual(Q)
-    if final_res > tol:
-        raise AreConvergenceError(
-            f"ARE residual {final_res:.3e} above tolerance {tol:.3e} "
-            f"after {newton_max} Newton steps",
-            history,
+    try:
+        sigma_inf = symmetrize(
+            solve_continuous_are(params.A.T, params.H.T, params.Sigma_B, np.eye(params.m))
         )
-
-    sigma_inf = symmetrize(Q)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise AreConvergenceError(f"ARE solve failed: {exc}") from exc
+    are_residual = float(np.linalg.norm(ricc_rhs(sigma_inf, params), "fro"))
+    tol = 1e-8 * (1.0 + float(np.linalg.norm(sigma_inf, "fro")))
+    if not are_residual <= tol:
+        raise AreConvergenceError(f"ARE residual {are_residual:.3e} above tolerance {tol:.3e}")
     w = np.linalg.eigvalsh(sigma_inf)
     if w.min() <= 0.0:
-        raise AreConvergenceError(
-            f"ARE solution not positive definite (min eig {w.min():.3e})", history
-        )
+        raise AreConvergenceError(f"ARE solution not positive definite (min eig {w.min():.3e})")
     f_inf = params.A - sigma_inf @ HtH
     lambda0 = float(np.min(-np.linalg.eigvals(f_inf).real))
     if lambda0 <= 0.0:
-        raise AreConvergenceError(
-            f"closed-loop matrix not Hurwitz (margin {lambda0:.3e})", history
-        )
+        raise AreConvergenceError(f"closed-loop matrix not Hurwitz (margin {lambda0:.3e})")
     beta = float(np.linalg.eigvalsh(params.Sigma_B).min() / (2.0 * w.max()))
 
     lambda_fit = 0.9 * lambda0
-    if fit_T is None:
-        fit_T = max(5.0, round(8.0 / lambda0, 3))
-    fit_grid = TimeGrid(T=fit_T, dt=fit_dt)
+    fit_grid = TimeGrid(T=max(5.0, round(8.0 / lambda0, 3)), dt=1e-3)
     path = integrate_dre(params.Sigma0, params, fit_grid)
-    gaps = path - sigma_inf
-    if d == 1:
-        norms = np.abs(gaps[:, 0, 0])
-    else:
-        norms = np.linalg.norm(gaps, 2, axis=(1, 2))
+    norms = np.linalg.norm(path - sigma_inf, 2, axis=(1, 2))
     m1_hat = float(np.max(norms * np.exp(2.0 * lambda_fit * fit_grid.times())))
 
     cond = float(w.max() / w.min())
-    alpha = float(
-        np.exp(np.sqrt(cond) * m1_hat * spectral_norm(HtH) / (2.0 * beta))
-        * np.sqrt(cond)
-    )
+    with np.errstate(over="ignore", divide="ignore"):  # a vacuous envelope: alpha = inf
+        alpha = float(
+            np.exp(np.sqrt(cond) * m1_hat * spectral_norm(HtH) / (2.0 * beta))
+            * np.sqrt(cond)
+        )
     return StabilityConstants(
         sigma_inf=sigma_inf,
         f_inf=f_inf,
@@ -298,10 +233,10 @@ def solve_are(
         beta=beta,
         alpha=alpha,
         m1_hat=m1_hat,
-        are_residual=final_res,
+        are_residual=are_residual,
         lambda_fit=lambda_fit,
-        fit_T=float(fit_T),
-        fit_dt=float(fit_dt),
+        fit_T=fit_grid.T,
+        fit_dt=fit_grid.dt,
     )
 
 
@@ -337,7 +272,7 @@ def explicit_dre_solution(
             "Sigma0 - Sigma_inf is singular but nonzero; the closed-form "
             f"solution is undefined (eigenvalues {w_delta.tolist()})"
         )
-    X = _solve_lyapunov(F.T, -(params.H.T @ params.H))
+    X = solve_continuous_lyapunov(F.T, -(params.H.T @ params.H))
     Et = expm(F * t)
     D = np.linalg.inv(delta) + (X - Et.T @ X @ Et)
     return symmetrize(Sinf + Et @ np.linalg.inv(D) @ Et.T)

@@ -219,6 +219,20 @@ class TestRiccatiValidation:
         with pytest.raises(AssumptionError):
             run_riccati_validation(cfg)
 
+    def test_refuses_model_without_a2(self):
+        # A1 holds but Sigma_B is singular, so beta = 0 and the envelope is void
+        bad = ModelParams(
+            A=np.array([[-1.0, 1.0], [0.0, -1.0]]),
+            H=np.array([[1.0, 0.0]]),
+            sigma_B=np.array([[0.0], [1.0]]),
+            m0=np.zeros(2),
+            Sigma0=np.eye(2),
+        )
+        cfg = default_config("riccati_validation", model=bad,
+                             grid=TimeGrid(T=1.0, dt=1e-3))
+        with pytest.raises(AssumptionError, match="riccati_validation refused.*'a2'"):
+            run_riccati_validation(cfg)
+
 
 class TestExactness:
     def test_small_run_tracks_filter_moments(self):

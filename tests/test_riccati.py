@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from enkbf_lab import riccati
 from enkbf_lab.linmodel import ModelParams, TimeGrid
 from enkbf_lab.riccati import (
+    AreConvergenceError,
     CovarianceStepError,
     DegenerateInitialCovariance,
     PathCoverageError,
@@ -125,11 +127,43 @@ class TestIntegrateDre:
 
 class TestSolveAre:
     def test_scalar_closed_form(self, scalar_consts):
-        assert scalar_consts.sigma_inf[0, 0] == pytest.approx(SIGMA_INF_SCALAR, abs=1e-10)
+        assert abs(scalar_consts.sigma_inf[0, 0] - SIGMA_INF_SCALAR) <= 1e-15
         assert scalar_consts.f_inf[0, 0] == pytest.approx(-SQRT2, abs=1e-10)
         assert scalar_consts.lambda0 == pytest.approx(SQRT2, abs=1e-10)
         assert scalar_consts.beta == pytest.approx(BETA_SCALAR, abs=1e-10)
         assert scalar_consts.are_residual <= 1e-8 * (1 + SIGMA_INF_SCALAR)
+
+    @pytest.mark.parametrize(
+        "A, H",
+        [
+            ([[-2.0, 1.0], [1.0, 0.0]], [[-2.0, 1.0]]),  # lambda0 ~ 0.43
+            ([[2.0, 1.0], [3.0, -1.0]], [[-1.0, 1.0]]),  # unstable A
+        ],
+    )
+    def test_coupled_models_with_one_observation(self, A, H):
+        m = ModelParams(
+            A=np.array(A), H=np.array(H), sigma_B=np.eye(2), m0=np.zeros(2), Sigma0=np.eye(2)
+        )
+        consts = solve_are(m)
+        assert np.linalg.eigvalsh(consts.sigma_inf).min() > 0.0
+        assert np.linalg.eigvals(consts.f_inf).real.max() < 0.0
+        residual = float(np.linalg.norm(ricc_rhs(consts.sigma_inf, m), "fro"))
+        assert residual == consts.are_residual
+        assert residual <= 1e-8 * (1.0 + np.linalg.norm(consts.sigma_inf, "fro"))
+        assert consts.alpha == math.inf  # exponents ~4e6 and ~9e7: a vacuous envelope
+
+    @pytest.mark.parametrize(
+        "solver, match",
+        [
+            (lambda *a: np.eye(1), "residual"),
+            (lambda *a: np.full((1, 1), -1.0 - SQRT2), "not positive definite"),
+            (lambda *a: np.linalg.inv(np.zeros((1, 1))), "ARE solve failed"),
+        ],
+    )
+    def test_failed_solve_or_check_raises(self, scalar_model, monkeypatch, solver, match):
+        monkeypatch.setattr(riccati, "solve_continuous_are", solver)
+        with pytest.raises(AreConvergenceError, match=match):
+            solve_are(scalar_model)
 
     def test_scalar_alpha_formula(self, scalar_consts):
         # alpha = exp(m1_hat * ||H^T H|| / (2 beta)) for cond(Sigma_inf) = 1
