@@ -186,25 +186,26 @@ def particle_normals(noise: NoiseBundle, N: int, purpose: int, shape, batch=()) 
 def particle_increments(
     noise: NoiseBundle, N: int, grid: TimeGrid, dim: int, purpose: int, batch=()
 ) -> np.ndarray:
-    """Wiener increments N(0, dt I) of N particles over ``grid``, shape
-    S + (N, n_steps, dim); streams as in :func:`particle_normals`."""
+    """Wiener increments N(0, dt I) of N particles over ``grid``, time
+    first: shape (n_steps,) + S + (N, dim); streams as in
+    :func:`particle_normals`."""
     out = particle_normals(noise, N, purpose, (grid.n_steps, dim), batch)
     out *= np.sqrt(grid.dt)
-    return out
+    return np.moveaxis(out, -2, 0)
 
 
 def particle_process_noise(
     noise: NoiseBundle, N: int, grid: TimeGrid, d_B: int
 ) -> np.ndarray:
     """Pre-generated process increments for N particles, shape (n_steps, N, d_B)."""
-    return particle_increments(noise, N, grid, d_B, PURPOSE_PROCESS).transpose(1, 0, 2)
+    return particle_increments(noise, N, grid, d_B, PURPOSE_PROCESS)
 
 
 def particle_obs_perturbations(
     noise: NoiseBundle, N: int, grid: TimeGrid, m: int
 ) -> np.ndarray:
     """Pre-generated observation perturbations, shape (n_steps, N, m)."""
-    return particle_increments(noise, N, grid, m, PURPOSE_OBS_PERTURB).transpose(1, 0, 2)
+    return particle_increments(noise, N, grid, m, PURPOSE_OBS_PERTURB)
 
 
 def ensemble_moments(x: np.ndarray) -> tuple:

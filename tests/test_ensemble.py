@@ -473,10 +473,8 @@ class TestBatchedDraws:
             pb = noise.child(int(t), 2)
             ens = init_ensemble(model, 20, STOCHASTIC_FPF, pb)
             assert np.array_equal(x0[j], ens.states)
-            assert np.array_equal(dB[j].transpose(1, 0, 2),
-                                  particle_process_noise(pb, 20, grid, model.d_B))
-            assert np.array_equal(dW[j].transpose(1, 0, 2),
-                                  particle_obs_perturbations(pb, 20, grid, model.m))
+            assert np.array_equal(dB[:, j], particle_process_noise(pb, 20, grid, model.d_B))
+            assert np.array_equal(dW[:, j], particle_obs_perturbations(pb, 20, grid, model.m))
 
     def test_init_ensemble_equals_one_generator_per_particle(self):
         model = _KERNEL_MODELS["coupled2"]
@@ -542,3 +540,53 @@ class TestBatchedKernel:
             assert np.array_equal(got[j], want)
             copy = mean_field_copy_step(x[j], kf_mean[j], kf_cov, dZ[j], dt, model, dB_k=dB[j])
             assert np.array_equal(copy, want)
+
+
+class _MatrixBranch(ModelParams):
+    """A model that takes the general (matrix) branches even when 1x1."""
+
+    is_scalar = False
+
+
+class TestScalarFastPath:
+    """The scalar fast paths and the matrix branches agree on 1x1 models, up
+    to the last bits that reordered products such as (a dt) x and (x a) dt
+    may differ in."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        coeffs=st.tuples(
+            st.floats(-3.0, 3.0), st.floats(-2.0, 2.0), st.floats(0.0, 2.0),
+            st.floats(-2.0, 2.0), st.floats(0.0, 2.0),
+        ),
+        variant=st.sampled_from([STOCHASTIC_FPF, DETERMINISTIC_FPF, PERTURBED_OBSERVATION]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_branches_agree(self, seed, coeffs, variant):
+        a, h, sb, m0, s0 = coeffs
+        scalar = ModelParams.scalar(a, h, sb, m0, s0)
+        matrix = _MatrixBranch(A=[[a]], H=[[h]], sigma_B=[[sb]], m0=[m0], Sigma0=[[s0]])
+        assert scalar.is_scalar and not matrix.is_scalar
+        grid = TimeGrid(T=0.2, dt=1e-3)
+        noise = NoiseBundle(seed, (0,))
+
+        def close(got, want):
+            scale = max(1.0, float(np.abs(want).max()))
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+
+        truths = [simulate_truth(m, grid, noise.child(0)) for m in (matrix, scalar)]
+        close(*truths)
+        obs = simulate_observations(scalar, grid, truths[1], noise.child(1))
+        filters = [kb_filter(m, grid, obs) for m in (matrix, scalar)]
+        close(filters[0].means, filters[1].means)
+        assert np.array_equal(filters[0].covs, filters[1].covs)
+
+        rng = np.random.default_rng(seed)
+        dt = 1e-2
+        x = rng.standard_normal((3, 20, 1))
+        dZ = rng.standard_normal((3, 1)) * math.sqrt(dt)
+        dB = rng.standard_normal((3, 20, 1)) * math.sqrt(dt)
+        dW = rng.standard_normal((3, 20, 1)) * math.sqrt(dt) if variant.gamma2 > 0.0 else None
+        mean, cov = ensemble_moments(x)
+        close(*(particle_step(x, mean, cov, dZ, dt, m, variant, dB=dB, dW=dW)
+                for m in (matrix, scalar)))

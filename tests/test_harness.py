@@ -234,6 +234,39 @@ class TestRiccatiValidation:
             run_riccati_validation(cfg)
 
 
+@pytest.fixture(scope="module")
+def infinite_alpha_run(tmp_path_factory):
+    """riccati_validation on a model whose alpha overflows to inf:
+    Sigma_inf is ill-conditioned (about 1e3) though A1 and A2 hold."""
+    model = ModelParams(
+        A=np.array([[2.0, 1.0], [3.0, -1.0]]), H=np.array([[-1.0, 1.0]]),
+        sigma_B=np.eye(2), m0=np.zeros(2), Sigma0=np.eye(2),
+    )
+    out = tmp_path_factory.mktemp("infinite_alpha")
+    cfg = default_config("riccati_validation", model=model, grid=TimeGrid(T=1.0, dt=1e-3),
+                         psi_grid_points=4, output_dir=str(out))
+    return run_experiment(cfg), out
+
+
+class TestInfiniteAlpha:
+    def test_psi_envelope_fails_as_uncheckable(self, infinite_alpha_run):
+        res, _ = infinite_alpha_run
+        assert res.constants.alpha == math.inf
+        (psi,) = [a for a in res.assertions if a.name == "psi_envelope"]
+        assert not psi.passed
+        assert "uncheckable" in psi.detail and "alpha" in psi.detail
+
+    def test_config_echo_is_strict_json(self, infinite_alpha_run):
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        _, out = infinite_alpha_run
+        echo = json.loads((out / "config_echo.json").read_text(), parse_constant=refuse)
+        assert echo["metadata"]["alpha"] == "inf"
+        assert echo["metadata"]["psi_min_margin"] == "inf"
+        assert echo["passed"] is False
+
+
 class TestExactness:
     def test_small_run_tracks_filter_moments(self):
         cfg = default_config(
