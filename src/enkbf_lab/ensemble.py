@@ -268,6 +268,7 @@ def particle_step(
     variant: VariantParams,
     dB: np.ndarray | None = None,
     dW: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """One Euler step of ensembles ``x`` of shape (..., N, d): the one
     particle and copy update, which :func:`fpf_step`,
@@ -284,12 +285,18 @@ def particle_step(
     the operations of an unbatched call, so batching does not change bits.
     The update builds two arrays, the new states and the innovations, and
     works on both in place: on large populations a fresh temporary per
-    term costs page faults that outweigh the arithmetic.
+    term costs page faults that outweigh the arithmetic.  ``out``, an
+    array of the shape of ``x`` that shares no memory with it, receives the
+    new states in place of a fresh array, to the same bits.
     """
     g1 = variant.gamma1
     g2 = variant.gamma2
     if g2 > 0.0 and dW is None:
         raise ValueError("gamma2 > 0 requires per-particle dW_k perturbations")
+    if out is None:
+        out = np.empty(x.shape)
+    elif np.may_share_memory(out, x):
+        raise ValueError("out must not share memory with x")
     if g1 < 1.0:
         _check_invertible(cov)
     if params.is_scalar:
@@ -299,7 +306,9 @@ def particle_step(
         a = float(params.A[0, 0])
         h = float(params.H[0, 0])
         sb = float(params.sigma_B[0, 0])
-        new = xf + (a * dt) * xf
+        new = out[..., 0]
+        np.multiply(a * dt, xf, out=new)
+        np.add(xf, new, out=new)
         if dB is not None and g1 > 0.0:
             new += (g1 * sb) * dB[..., 0]
         if g1 < 1.0:
@@ -312,9 +321,11 @@ def particle_step(
             innov += g2 * dW[..., 0]
         innov *= s_val * h
         new += innov
-        return new[..., None]
+        return out
     mean = mean[..., None, :]
-    new = x + (x @ params.A.T) * dt
+    new = np.matmul(x, params.A.T, out=out)
+    new *= dt
+    new += x
     if dB is not None and g1 > 0.0:
         noise = dB @ params.sigma_B.T
         new += noise if g1 == 1.0 else g1 * noise

@@ -13,13 +13,15 @@ import hashlib
 import json
 import math
 import os
+import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass
-from itertools import repeat
+from itertools import cycle, repeat
 from multiprocessing import get_context
 from pathlib import Path
 import numpy as np
+import scipy
 from scipy.special import ndtr
 
 from . import __version__
@@ -396,8 +398,21 @@ def _particle_draws(plan: dict, kind: str, N: int, trials: range, grid: TimeGrid
     return x0, dB, dW
 
 
-def _step_loop(model, grid, dZ, dB, ckpt_idx, x=None, variant=STOCHASTIC_FPF, dW=None,
-               copies=None, kf_means=None, kf_covs=None):
+def _require_finite(where, k, *states) -> None:
+    """Refuse non-finite states after step k.  ``where`` is (experiment, N,
+    trials), the trials indexing the leading axis of each state array."""
+    name, N, trials = where
+    for s in states:
+        if s is not None and not np.isfinite(s).all():
+            bad = ~np.isfinite(s.reshape(len(trials), -1)).all(axis=1)
+            raise FloatingPointError(
+                f"{name}: non-finite state at N={N}, trial {trials[int(np.argmax(bad))]}, "
+                f"step {k}"
+            )
+
+
+def _step_loop(model, grid, dZ, dB, ckpt_idx, where, x=None, variant=STOCHASTIC_FPF,
+               dW=None, copies=None, kf_means=None, kf_covs=None):
     """The one Euler time loop: advance particles ``x`` (..., N, d) and
     mean-field copies (..., M, d), either optional, over ``grid`` with the
     same process increments, and yield (k, x, mean, cov, copies) after
@@ -411,20 +426,34 @@ def _step_loop(model, grid, dZ, dB, ckpt_idx, x=None, variant=STOCHASTIC_FPF, dW
     (..., N, m): a pre-drawn array, or a bulk stream drawn step by step.
     Particles take their moments every step; copies take none, so callers
     compute theirs at checkpoints only.
+
+    Each population steps between two buffers of its own, so the loop
+    allocates no state per step and never writes into the arrays it was
+    given (one ``x0`` may start two loops, or be both ``x`` and
+    ``copies``).  A yielded state is therefore valid only until the loop
+    resumes.  At every checkpoint a non-finite state raises
+    FloatingPointError naming ``where`` = (experiment, N, trials), the
+    trial and the step.
     """
     dt = grid.dt
     mean = cov = None
     if x is not None:
         mean, cov = ensemble_moments(x)
+        x_out = cycle((np.empty(x.shape), np.empty(x.shape)))
+    if copies is not None:
+        copies_out = cycle((np.empty(copies.shape), np.empty(copies.shape)))
     for k, dB_k, dW_k in zip(range(grid.n_steps), dB, repeat(None) if dW is None else dW):
         if x is not None:
-            x = particle_step(x, mean, cov, dZ[k], dt, model, variant, dB=dB_k, dW=dW_k)
+            x = particle_step(x, mean, cov, dZ[k], dt, model, variant, dB=dB_k, dW=dW_k,
+                              out=next(x_out))
             mean, cov = ensemble_moments(x)
         if copies is not None:
             copies = particle_step(
-                copies, kf_means[k], kf_covs[k], dZ[k], dt, model, STOCHASTIC_FPF, dB=dB_k
+                copies, kf_means[k], kf_covs[k], dZ[k], dt, model, STOCHASTIC_FPF, dB=dB_k,
+                out=next(copies_out),
             )
         if (k + 1) in ckpt_idx:
+            _require_finite(where, k + 1, x, copies)
             yield k + 1, x, mean, cov, copies
 
 
@@ -465,8 +494,8 @@ def _rate_block(plan: dict, kind: str, N: int, trials: range) -> list:
     chaos = kind == "chaos"
     rows = []
     for k, x, mean, cov, copies in _step_loop(
-        model, grid, dZ, dB, plan["ckpt_idx"], x=x, variant=variant, dW=dW,
-        copies=x if chaos else None, kf_means=means, kf_covs=covs,
+        model, grid, dZ, dB, plan["ckpt_idx"], (kind, N, trials), x=x, variant=variant,
+        dW=dW, copies=x if chaos else None, kf_means=means, kf_covs=covs,
     ):
         t = grid.t0 + k * grid.dt
         for j, trial in enumerate(trials):
@@ -507,7 +536,9 @@ def _bias_block(plan: dict, kind: str, N: int, trials: range) -> list:
     for label, g, obs, covs, dB, dW, ckpt in legs:
         means = np.stack([kb_filter(model, g, o, cov_path=covs).means for o in obs], axis=1)
         dZ = np.stack([o.dZ for o in obs], axis=1)
-        for k, x, mean, cov, _ in _step_loop(model, g, dZ, dB, ckpt, x=x0, variant=variant, dW=dW):
+        for k, x, mean, cov, _ in _step_loop(
+            model, g, dZ, dB, ckpt, (f"{kind} {label}", N, trials), x=x0, variant=variant, dW=dW,
+        ):
             t = round(g.t0 + k * g.dt, 9)
             for j, trial in enumerate(trials):
                 rows.append(TrialRow(N, trial, t, f"bias_cov2_{label}",
@@ -592,6 +623,12 @@ def _base_metadata(cfg: ExperimentConfig, consts: StabilityConstants | None) -> 
         "code_version": __version__,
         "config_hash": config_hash(cfg),
         "workers": cfg.workers,
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "cpu_count": os.cpu_count(),
+        },
     }
     if consts is not None:
         for k in ("m1_hat", "lambda_fit", "lambda0", "beta", "alpha"):
@@ -746,14 +783,23 @@ def _init_copies(
 def _mean_field_record(cfg: ExperimentConfig) -> tuple:
     """The one observation record of a mean-field experiment: its
     observations, the exact filter on them, the copies' noise bundle and
-    their process increments, drawn step by step from one bulk stream."""
+    their process increments, drawn step by step from one bulk stream into
+    one buffer (each step's increments are valid until the next is drawn)."""
     model, grid = cfg.model, cfg.grid
     obs, fp = _observed(cfg.master_seed, cfg.name, 0, 0, model, grid)
     cb = trial_bundle(cfg.master_seed, cfg.name, 0, 0).child(STREAM_COPIES)
     rng = cb.child(1).generator()
     sqdt = math.sqrt(grid.dt)
-    dB = (rng.standard_normal((cfg.n_copies, model.d_B)) * sqdt for _ in range(grid.n_steps))
-    return obs, fp, cb, dB
+
+    def dB():
+        # one buffer, redrawn each step: the same bits as a fresh draw
+        buf = np.empty((cfg.n_copies, model.d_B))
+        for _ in range(grid.n_steps):
+            rng.standard_normal(out=buf)
+            buf *= sqdt
+            yield buf
+
+    return obs, fp, cb, dB()
 
 
 def run_exactness(cfg: ExperimentConfig) -> ExperimentResult:
@@ -785,7 +831,8 @@ def run_exactness(cfg: ExperimentConfig) -> ExperimentResult:
         )
     ]
     for k, _, _, _, copies in _step_loop(
-        model, grid, obs.dZ, dB, ckpt, copies=copies, kf_means=fp.means, kf_covs=fp.covs
+        model, grid, obs.dZ, dB, ckpt, (cfg.name, M, range(1)),
+        copies=copies, kf_means=fp.means, kf_covs=fp.covs,
     ):
         t = grid.t0 + k * grid.dt
         emp_mean, emp_cov = ensemble_moments(copies)
@@ -873,7 +920,8 @@ def run_stability(cfg: ExperimentConfig) -> ExperimentResult:
     rows: list = []
     w2_identical_max = 0.0
     for k, _, _, _, pops in _step_loop(
-        model, grid, obs.dZ, dB, ckpt, copies=pops, kf_means=kf_means, kf_covs=kf_covs
+        model, grid, obs.dZ, dB, ckpt, (cfg.name, M, range(1)),
+        copies=pops, kf_means=kf_means, kf_covs=kf_covs,
     ):
         t = grid.t0 + k * grid.dt
         (ma, mb, mc), (Sa, Sb, Sc) = ensemble_moments(pops)

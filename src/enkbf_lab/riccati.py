@@ -100,6 +100,8 @@ def integrate_dre(Sigma0: np.ndarray, params: ModelParams, grid: TimeGrid) -> np
     Returns the array of covariances, shape (n_steps + 1, d, d).  Every
     iterate is symmetrized; if an iterate develops an eigenvalue below
     -1e-10 * scale the step size is too large and the run is refused.
+    A 1x1 model steps on Python floats, with the operations of the matrix
+    branch in the same order, so to the same bits.
     """
     d = params.d
     Q = symmetrize(np.atleast_2d(np.asarray(Sigma0, dtype=float)))
@@ -109,6 +111,12 @@ def integrate_dre(Sigma0: np.ndarray, params: ModelParams, grid: TimeGrid) -> np
     dt = grid.dt
     out = np.empty((grid.n_steps + 1, d, d))
     out[0] = Q
+    if params.is_scalar:
+        out[1:, 0, 0] = _integrate_dre_scalar(
+            float(Q[0, 0]), float(A[0, 0]), float(Sigma_B[0, 0]), float(HtH[0, 0]), dt,
+            grid.n_steps,
+        )
+        return out
     for k in range(grid.n_steps):
         k1 = _ricc(Q, A, Sigma_B, HtH)
         k2 = _ricc(Q + 0.5 * dt * k1, A, Sigma_B, HtH)
@@ -123,6 +131,30 @@ def integrate_dre(Sigma0: np.ndarray, params: ModelParams, grid: TimeGrid) -> np
             )
         out[k + 1] = Q
     return out
+
+
+def _integrate_dre_scalar(q: float, a: float, sb: float, h2: float, dt: float, n: int) -> list:
+    """The n RK4 iterates after q of :func:`integrate_dre` on a 1x1 model."""
+
+    def ricc(q):
+        aq = a * q
+        return aq + aq + sb - (q * h2) * q
+
+    path = []
+    for k in range(n):
+        k1 = ricc(q)
+        k2 = ricc(q + 0.5 * dt * k1)
+        k3 = ricc(q + 0.5 * dt * k2)
+        k4 = ricc(q + dt * k3)
+        q = q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        q = 0.5 * (q + q)
+        if q < -1e-10 * max(1.0, abs(q)):
+            raise CovarianceStepError(
+                f"covariance lost PSD at step {k + 1} (min eig {q:.3e}); "
+                f"dt={dt} is too large for this model"
+            )
+        path.append(q)
+    return path
 
 
 @dataclass(frozen=True, eq=False)

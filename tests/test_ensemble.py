@@ -42,7 +42,7 @@ from enkbf_lab.linmodel import (
     simulate_observations,
     simulate_truth,
 )
-from enkbf_lab.riccati import sqrt_ricc
+from enkbf_lab.riccati import CovarianceStepError, integrate_dre, sqrt_ricc
 
 
 def reference_step(x, dZ, dt, a, h, sb, sigma_b_sq, dB, dW, g1, g2):
@@ -551,7 +551,42 @@ class _MatrixBranch(ModelParams):
 class TestScalarFastPath:
     """The scalar fast paths and the matrix branches agree on 1x1 models, up
     to the last bits that reordered products such as (a dt) x and (x a) dt
-    may differ in."""
+    may differ in; the DRE's float RK4 agrees bit for bit."""
+
+    @staticmethod
+    def _dre_outcome(model, grid):
+        try:
+            return integrate_dre(model.Sigma0, model, grid)
+        except CovarianceStepError as exc:
+            return str(exc)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        dt=st.sampled_from([2e-2, 1e-2, 1e-3, 5e-4, 1e-4]),
+        n_steps=st.integers(min_value=1, max_value=300),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_dre_branches_bit_identical(self, seed, dt, n_steps):
+        # generic coefficients, whose products round: simple ones would not
+        a, h, sb, s0 = np.random.default_rng(seed).uniform([-3, -2, 0, 0], [3, 2, 2, 2])
+        scalar = ModelParams.scalar(a, h, sb, 0.0, s0)
+        matrix = _MatrixBranch(A=[[a]], H=[[h]], sigma_B=[[sb]], m0=[0.0], Sigma0=[[s0]])
+        grid = TimeGrid(T=n_steps * dt, dt=dt)
+        got, want = (self._dre_outcome(m, grid) for m in (scalar, matrix))
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_dre_branches_refuse_at_the_same_step(self):
+        kw = dict(A=[[-1.0]], H=[[10.0]], sigma_B=[[1.0]], m0=[0.0], Sigma0=[[1.0]])
+        grid = TimeGrid(T=1.0, dt=0.02)
+        messages = []
+        for model in (ModelParams(**kw), _MatrixBranch(**kw)):
+            with pytest.raises(CovarianceStepError, match="at step 1 ") as exc:
+                integrate_dre(model.Sigma0, model, grid)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32),
@@ -590,3 +625,39 @@ class TestScalarFastPath:
         mean, cov = ensemble_moments(x)
         close(*(particle_step(x, mean, cov, dZ, dt, m, variant, dB=dB, dW=dW)
                 for m in (matrix, scalar)))
+
+
+class TestOutBuffer:
+    """``particle_step(..., out=)`` writes the states of the allocating call."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        B=st.integers(min_value=1, max_value=3),
+        name=st.sampled_from(sorted(_KERNEL_MODELS)),
+        variant=st.sampled_from([STOCHASTIC_FPF, DETERMINISTIC_FPF, PERTURBED_OBSERVATION]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_out_equals_fresh_states(self, seed, B, name, variant):
+        model = _KERNEL_MODELS[name]
+        rng = np.random.default_rng(seed)
+        dt, N = 1e-2, 9
+        x = rng.standard_normal((B, N, model.d))
+        dZ = rng.standard_normal((B, model.m)) * math.sqrt(dt)
+        dB = rng.standard_normal((B, N, model.d_B)) * math.sqrt(dt)
+        dW = rng.standard_normal((B, N, model.m)) * math.sqrt(dt) if variant.gamma2 > 0 else None
+        mean, cov = ensemble_moments(x)
+        want = particle_step(x, mean, cov, dZ, dt, model, variant, dB=dB, dW=dW)
+        out = np.full_like(x, np.nan)
+        got = particle_step(x, mean, cov, dZ, dt, model, variant, dB=dB, dW=dW, out=out)
+        assert got is out
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", sorted(_KERNEL_MODELS))
+    def test_out_aliasing_x_refused(self, name):
+        model = _KERNEL_MODELS[name]
+        x = np.ones((2, 5, model.d))
+        x[:, 0] = 0.0
+        mean, cov = ensemble_moments(x)
+        with pytest.raises(ValueError, match="share memory"):
+            particle_step(x, mean, cov, np.zeros((2, model.m)), 1e-2, model,
+                          STOCHASTIC_FPF, out=x)

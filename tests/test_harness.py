@@ -2,9 +2,12 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import platform
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +28,14 @@ from enkbf_lab.harness import (
     trial_bundle,
     write_result,
 )
-from enkbf_lab.ensemble import DETERMINISTIC_FPF, PERTURBED_OBSERVATION, VariantParams
+from enkbf_lab.ensemble import (
+    DETERMINISTIC_FPF,
+    PERTURBED_OBSERVATION,
+    STOCHASTIC_FPF,
+    VariantParams,
+    ensemble_moments,
+    particle_step,
+)
 from enkbf_lab.linmodel import AssumptionError, ModelParams, TimeGrid
 from enkbf_lab.metrics import TrialRow, mse_curve, rate_fit
 
@@ -53,6 +63,11 @@ class TestConfig:
         cfg2 = ExperimentConfig.from_json(cfg.to_json(), workers=8,
                                           output_dir=str(tmp_path))
         assert config_hash(cfg2) == config_hash(cfg)
+
+    def test_hash_of_an_existing_config_unchanged(self):
+        # recorded before the run metadata gained its environment record
+        digest = "24c1d58edc270ba9f6dfb393f9028afa3b22103a5b528a165c758f8e47774b35"
+        assert config_hash(tiny_convergence_cfg()) == digest
 
     def test_hash_tracks_science_fields(self):
         cfg = tiny_convergence_cfg()
@@ -364,6 +379,17 @@ class TestConvergenceSmall:
         echo = json.loads((out / "config_echo.json").read_text())
         assert echo["config_hash"] == config_hash(res.config)
 
+    def test_config_echo_records_environment(self, small_result):
+        res, out = small_result
+        echo = json.loads((out / "config_echo.json").read_text())
+        assert echo["metadata"]["environment"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "cpu_count": os.cpu_count(),
+        }
+        assert echo["config_hash"] == config_hash(res.config)
+
     def test_worker_count_does_not_change_bytes(self, small_result, tmp_path):
         _, out1 = small_result
         cfg = tiny_convergence_cfg(output_dir=str(tmp_path / "run2"), workers=2)
@@ -453,6 +479,106 @@ class TestDegenerateConfigs:
         )
         with pytest.raises(AssumptionError, match="beta"):
             run_stability(cfg)
+
+
+class TestStepLoopBuffers:
+    """The loop steps between buffers of its own and leaves the arrays it
+    is given as they were, so one array may start two loops or be both the
+    particles and the copies."""
+
+    CKPT = {10, 20, 30}
+
+    @pytest.fixture
+    def inputs(self):
+        grid = TimeGrid(T=0.03, dt=1e-3)
+        rng = np.random.default_rng(3)
+        n, B, N = grid.n_steps, 2, 12
+        return dict(
+            model=acceptance_model(), grid=grid,
+            dZ=rng.standard_normal((n, B, 1)) * math.sqrt(grid.dt),
+            dB=rng.standard_normal((n, B, N, 1)) * math.sqrt(grid.dt),
+            kf_means=rng.standard_normal((n + 1, B, 1)),
+            kf_covs=np.full((n + 1, 1, 1), 0.5),
+            x0=rng.standard_normal((B, N, 1)),
+        )
+
+    def _loop(self, inp, **kw):
+        """Copies of the yielded particles and copies at each checkpoint."""
+        loop = harness._step_loop(inp["model"], inp["grid"], inp["dZ"], inp["dB"], self.CKPT,
+                                  ("test", 12, range(2)), **kw)
+        return [(k, None if x is None else x.copy(), None if c is None else c.copy())
+                for k, x, _, _, c in loop]
+
+    def _reference(self, inp, copies):
+        """The same steps with a fresh array per step, particles fed their
+        empirical moments or copies the given ones."""
+        x, rows = inp["x0"].copy(), []
+        for k in range(inp["grid"].n_steps):
+            mean, cov = ((inp["kf_means"][k], inp["kf_covs"][k]) if copies
+                         else ensemble_moments(x))
+            x = particle_step(x, mean, cov, inp["dZ"][k], inp["grid"].dt, inp["model"],
+                              STOCHASTIC_FPF, dB=inp["dB"][k])
+            if k + 1 in self.CKPT:
+                rows.append(x)
+        return rows
+
+    def test_one_x0_starts_two_loops(self, inputs):
+        keep = inputs["x0"].copy()
+        first = self._loop(inputs, x=inputs["x0"])
+        second = self._loop(inputs, x=inputs["x0"])
+        assert np.array_equal(inputs["x0"], keep)
+        want = self._reference(inputs, copies=False)
+        for run in (first, second):
+            assert [k for k, _, _ in run] == sorted(self.CKPT)
+            for (_, x, _), w in zip(run, want):
+                assert np.array_equal(x, w)
+
+    def test_one_array_as_particles_and_copies(self, inputs):
+        keep = inputs["x0"].copy()
+        run = self._loop(inputs, x=inputs["x0"], copies=inputs["x0"],
+                         kf_means=inputs["kf_means"], kf_covs=inputs["kf_covs"])
+        assert np.array_equal(inputs["x0"], keep)
+        for (_, x, c), wx, wc in zip(run, self._reference(inputs, copies=False),
+                                     self._reference(inputs, copies=True)):
+            assert np.array_equal(x, wx)
+            assert np.array_equal(c, wc)
+
+
+class TestNonFiniteStates:
+    def test_nan_increment_in_a_rate_block_names_the_trial(self, monkeypatch):
+        real = harness.particle_increments
+
+        def poisoned(*args, **kwargs):
+            dB = real(*args, **kwargs)
+            dB[3, 1, 0, 0] = np.nan  # step 4 of the block's second trial
+            return dB
+
+        monkeypatch.setattr(harness, "particle_increments", poisoned)
+        # N = 25 steps trials (0, 1) as its first block; first checkpoint t = 0.25
+        with pytest.raises(FloatingPointError,
+                           match=r"^convergence: non-finite state at N=25, trial 1, step 125$"):
+            run_experiment(tiny_convergence_cfg())
+
+    def test_nan_increment_in_exactness_names_the_step(self, monkeypatch):
+        real = harness._mean_field_record
+
+        def poisoned(cfg):
+            obs, fp, cb, dB = real(cfg)
+
+            def steps():
+                for k, dB_k in enumerate(dB):
+                    if k == 12:
+                        dB_k[7, 0] = np.nan
+                    yield dB_k
+
+            return obs, fp, cb, steps()
+
+        monkeypatch.setattr(harness, "_mean_field_record", poisoned)
+        cfg = default_config("exactness", grid=TimeGrid(T=0.02, dt=1e-3), n_copies=50,
+                             checkpoints=(0.01, 0.02))
+        with pytest.raises(FloatingPointError,
+                           match=r"^exactness: non-finite state at N=50, trial 0, step 20$"):
+            run_experiment(cfg)
 
 
 def test_synthetic_rate_rows_fit_slope_minus_one():
