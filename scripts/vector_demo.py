@@ -6,7 +6,9 @@ Usage:
     python scripts/vector_demo.py [--out DIR] [--n-particles N] [--seed U64]
 
 Exercises the vector (d = m = 2) code paths end to end and leaves
-truth.csv, filter.csv and ensemble_snapshot.csv in the output directory.
+truth.csv (time, state), filter.csv (time, mean, upper-triangle covariance)
+and ensemble_snapshot.csv (one particle per row, at the final time) in the
+output directory, next to constants.txt.
 """
 
 import argparse
@@ -15,19 +17,20 @@ from pathlib import Path
 import numpy as np
 
 from enkbf_lab.ensemble import (
+    PURPOSE_INIT,
+    PURPOSE_PROCESS,
     STOCHASTIC_FPF,
-    empirical_stats,
-    fpf_step,
-    init_ensemble,
-    particle_process_noise,
-    snapshot_to_csv,
+    ensemble_moments,
+    particle_increments,
+    particle_normals,
+    particle_step,
+    prior_states,
 )
-from enkbf_lab.kalman import filter_path_to_csv, kb_filter
+from enkbf_lab.kalman import kb_filter
 from enkbf_lab.linmodel import (
     ModelParams,
     NoiseBundle,
     TimeGrid,
-    path_to_csv,
     simulate_observations,
     simulate_truth,
     validate_assumptions,
@@ -62,23 +65,35 @@ def main() -> None:
     obs = simulate_observations(model, grid, truth, b.child(1))
     fp = kb_filter(model, grid, obs)
 
+    # Particle i draws its prior sample and its process increments from
+    # sub-streams of pb.child(i).
     pb = b.child(2)
-    ens = init_ensemble(model, args.n_particles, STOCHASTIC_FPF, pb)
-    dB = particle_process_noise(pb, args.n_particles, grid, model.d_B)
+    N = args.n_particles
+    x = prior_states(model, particle_normals(pb, N, PURPOSE_INIT, model.d))
+    dB = particle_increments(pb, N, grid, model.d_B, PURPOSE_PROCESS)
     for k in range(grid.n_steps):
-        ens = fpf_step(ens, empirical_stats(ens), obs.dZ[k], grid.dt, model, dB_k=dB[k])
-    stats = empirical_stats(ens)
+        mean, cov = ensemble_moments(x)
+        x = particle_step(x, mean, cov, obs.dZ[k], grid.dt, model, STOCHASTIC_FPF, dB=dB[k])
+    mean, cov = ensemble_moments(x)
     print(f"final filter mean    : {fp.means[-1]}")
-    print(f"final ensemble mean  : {stats.mean}")
+    print(f"final ensemble mean  : {mean}")
     print(f"final filter cov diag: {np.diag(fp.covs[-1])}")
-    print(f"final ensemble cov diag: {np.diag(stats.cov)}")
+    print(f"final ensemble cov diag: {np.diag(cov)}")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    path_to_csv(grid.times(), truth, out / "truth.csv")
-    filter_path_to_csv(fp, out / "filter.csv")
-    snapshot_to_csv(ens, out / "ensemble_snapshot.csv")
-    consts.write_text(out / "constants.txt")
+    d = model.d
+    iu = np.triu_indices(d)
+    as_csv = dict(delimiter=",", fmt="%.17g", comments="")
+    np.savetxt(out / "truth.csv", np.column_stack([grid.times(), truth]),
+               header=",".join(["time"] + [f"x{j}" for j in range(d)]), **as_csv)
+    np.savetxt(out / "filter.csv",
+               np.column_stack([fp.times, fp.means, fp.covs[:, iu[0], iu[1]]]),
+               header=",".join(["time"] + [f"m{i}" for i in range(d)]
+                               + [f"cov{i}{j}" for i, j in zip(*iu)]), **as_csv)
+    np.savetxt(out / "ensemble_snapshot.csv", x,
+               header=",".join(f"x{j}" for j in range(d)), **as_csv)
+    (out / "constants.txt").write_text(consts.to_text(), encoding="utf-8")
     print(f"wrote {out}/truth.csv, filter.csv, ensemble_snapshot.csv, constants.txt")
 
 

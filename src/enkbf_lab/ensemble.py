@@ -11,14 +11,11 @@ dynamics, so they are interchangeable in law.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Union
 
 import numpy as np
 
-from .linmodel import ModelParams, NoiseBundle, TimeGrid, psd_sqrt, text_sink
+from .linmodel import ModelParams, NoiseBundle, TimeGrid, psd_sqrt
 
 __all__ = [
     "VariantParams",
@@ -43,7 +40,6 @@ __all__ = [
     "mean_field_copy_step",
     "particle_process_noise",
     "particle_obs_perturbations",
-    "snapshot_to_csv",
 ]
 
 # Sub-stream purposes within one particle's stream.
@@ -448,13 +444,3 @@ def error_processes(sys: CoupledSystem, kf_state) -> tuple[np.ndarray, np.ndarra
     xi = x - x.mean(axis=0)
     xi_bar = sys.copies - np.atleast_1d(kf_state.mean)
     return xi, xi_bar
-
-
-def snapshot_to_csv(ens: Ensemble, dest: Union[str, Path, IO[str]]) -> None:
-    """CSV export of an ensemble snapshot: time, particle index, components."""
-    header = ["time", "particle"] + [f"x{j}" for j in range(ens.d)]
-    with text_sink(dest) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for i, row in enumerate(ens.states):
-            w.writerow([repr(float(ens.t)), i] + [repr(float(v)) for v in row])

@@ -60,7 +60,6 @@ from .linmodel import (
     psd_sqrt,
     simulate_observations,
     simulate_truth,
-    text_sink,
     validate_assumptions,
 )
 from .metrics import (
@@ -80,8 +79,7 @@ from .riccati import (
     integrate_dre,
     solve_are,
     spectral_norm,
-    transition_phi_scan,
-    transition_psi_scan,
+    transition_segments,
 )
 
 __all__ = [
@@ -191,6 +189,10 @@ class ExperimentConfig:
         for name in ("compare_stride_t", "psi_dt"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        try:
+            TimeGrid(T=self.grid.T, dt=self.psi_dt, t0=self.grid.t0)
+        except ValueError as exc:
+            raise ValueError(f"psi_dt={self.psi_dt} must divide the grid span: {exc}") from None
         if self.init_family not in INIT_FAMILIES:
             raise ValueError(
                 f"init_family must be one of {INIT_FAMILIES}, got {self.init_family!r}"
@@ -706,15 +708,20 @@ def run_riccati_validation(cfg: ExperimentConfig) -> ExperimentResult:
     psi_grid = TimeGrid(T=cfg.grid.T, dt=cfg.psi_dt, t0=cfg.grid.t0)
     psi_path = integrate_dre(model.Sigma0, model, psi_grid)
     nodes = _snap_nodes(psi_grid, cfg.psi_grid_points)
+    idx = [psi_grid.index_of(t) for t in nodes]
+    psi_segments = transition_segments(0.5, idx, psi_path, model, psi_grid)
+    phi_segments = transition_segments(1.0, idx, psi_path, model, psi_grid)
+    eye = np.eye(model.d)
     violations = 0
     min_margin = math.inf
     margin_by_t: dict = {}
     phi_records = []  # (s, t, norm)
-    for s in nodes:
-        ts = [t for t in nodes if t >= s]
-        psis = transition_psi_scan(s, ts, psi_path, model, psi_grid)
-        phis = transition_phi_scan(s, ts, psi_path, model, psi_grid)
-        for t, Mpsi, Mphi in zip(ts, psis, phis):
+    for i, s in enumerate(nodes):
+        # Psi(t_j, t_i) = P_{j-1} ... P_i: products of segments, no inverse,
+        # which would cost conditioning on stiff models.
+        Mpsi = Mphi = eye
+        for t, P, F in zip(nodes[i:], [eye] + psi_segments[i:], [eye] + phi_segments[i:]):
+            Mpsi, Mphi = P @ Mpsi, F @ Mphi
             norm = spectral_norm(Mpsi)
             bound = consts.alpha * math.exp(-consts.beta * (t - s))
             margin = bound - norm
@@ -1252,15 +1259,15 @@ def write_result(result: ExperimentResult, out_dir, force: bool = False) -> Path
             for q, t, f in result.fits)),
     }
     for name, (header, lines) in tables.items():
-        with text_sink(out / name) as fh:
+        with open(out / name, "w", encoding="utf-8", newline="") as fh:
             fh.write(stamp)
             fh.write(header + "\n")
             for line in lines:
                 fh.write(line + "\n")
     if result.constants is not None:
-        with text_sink(out / "constants.txt") as fh:
+        with open(out / "constants.txt", "w", encoding="utf-8", newline="") as fh:
             fh.write(stamp)
-            result.constants.write_text(fh)
+            fh.write(result.constants.to_text())
     echo = _jsonable({
         "config": result.config.to_json(),
         "config_hash": new_hash,

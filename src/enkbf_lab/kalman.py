@@ -2,17 +2,14 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Union
 
 import numpy as np
 
-from .linmodel import ModelParams, ObservationIncrements, TimeGrid, symmetrize, text_sink
+from .linmodel import ModelParams, ObservationIncrements, TimeGrid, symmetrize
 from .riccati import integrate_dre
 
-__all__ = ["FilterState", "FilterPath", "kb_filter", "filter_path_to_csv"]
+__all__ = ["FilterState", "FilterPath", "kb_filter"]
 
 _PSD_TOL = 1e-10
 
@@ -108,21 +105,3 @@ def kb_filter(
             m = m + (A @ m) * dt + K @ (obs.dZ[k] - (H @ m) * dt)
             means[k + 1] = m
     return FilterPath(times=grid.times(), means=means, covs=covs)
-
-
-def filter_path_to_csv(path: FilterPath, dest: Union[str, Path, IO[str]]) -> None:
-    """CSV export: time, mean components, upper-triangle covariance entries."""
-    d = path.means.shape[1]
-    header = (
-        ["time"]
-        + [f"m{i}" for i in range(d)]
-        + [f"cov{i}{j}" for i in range(d) for j in range(i, d)]
-    )
-    with text_sink(dest) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for t, mean, cov in zip(path.times, path.means, path.covs):
-            row = [repr(float(t))]
-            row += [repr(float(v)) for v in mean]
-            row += [repr(float(cov[i, j])) for i in range(d) for j in range(i, d)]
-            w.writerow(row)

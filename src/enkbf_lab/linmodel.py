@@ -7,13 +7,9 @@ Riccati flows, particle systems) consumes the immutable objects defined here.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import IO, Mapping, Union
+from typing import Mapping
 
 import numpy as np
 
@@ -27,11 +23,9 @@ __all__ = [
     "simulate_truth",
     "simulate_observations",
     "validate_assumptions",
-    "path_to_csv",
     "philox_keys",
     "symmetrize",
     "psd_sqrt",
-    "text_sink",
     "STREAM_TRUTH",
     "STREAM_OBS",
     "STREAM_PARTICLE",
@@ -56,17 +50,6 @@ class AssumptionError(RuntimeError):
 def symmetrize(M: np.ndarray) -> np.ndarray:
     """Return the symmetric part (M + M^T) / 2."""
     return 0.5 * (M + M.T)
-
-
-@contextmanager
-def text_sink(dest: Union[str, Path, IO[str]]):
-    """``dest`` itself if it is file-like, else the file at that path,
-    opened for UTF-8 text without newline translation."""
-    if hasattr(dest, "write"):
-        yield dest
-    else:
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            yield fh
 
 
 def psd_sqrt(S: np.ndarray) -> np.ndarray:
@@ -191,11 +174,6 @@ class ModelParams:
             m0=np.asarray(cfg["m0"], dtype=float).reshape(d),
             Sigma0=grab("Sigma0", d, d),
         )
-
-    @classmethod
-    def from_config_file(cls, path: Union[str, Path]) -> "ModelParams":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_config(json.load(fh))
 
     def to_config(self) -> dict:
         return {
@@ -586,16 +564,3 @@ def validate_assumptions(params: ModelParams, re_tol: float = 1e-10) -> Assumpti
         mu_A=mu_A,
         sigma_B_min_eig=min_eig,
     )
-
-
-def path_to_csv(times: np.ndarray, path: np.ndarray, dest: Union[str, Path, IO[str]]) -> None:
-    """Write a state path as CSV rows ``time,component,value``."""
-    path = np.atleast_2d(np.asarray(path, dtype=float))
-    if path.shape[0] != len(times):
-        raise ValueError("times and path lengths differ")
-    with text_sink(dest) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["time", "component", "value"])
-        for t, row in zip(times, path):
-            for j, v in enumerate(row):
-                w.writerow([repr(float(t)), j, repr(float(v))])

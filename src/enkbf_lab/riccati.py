@@ -10,7 +10,7 @@ computed here once and carried around as :class:`StabilityConstants`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, IO, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import expm, solve_continuous_are, solve_continuous_lyapunov
@@ -20,7 +20,6 @@ from .linmodel import (
     ModelParams,
     TimeGrid,
     symmetrize,
-    text_sink,
     validate_assumptions,
 )
 
@@ -36,10 +35,9 @@ __all__ = [
     "integrate_dre",
     "explicit_dre_solution",
     "solve_are",
+    "transition_segments",
     "transition_phi",
     "transition_psi",
-    "transition_phi_scan",
-    "transition_psi_scan",
     "fit_envelope_constant",
     "spectral_norm",
 ]
@@ -205,10 +203,6 @@ class StabilityConstants:
         ]
         return "\n".join(lines) + "\n"
 
-    def write_text(self, dest: Union[str, IO[str]]) -> None:
-        with text_sink(dest) as fh:
-            fh.write(self.to_text())
-
 
 def solve_are(params: ModelParams) -> StabilityConstants:
     """Solve Ricc(Sigma) = 0 and assemble the stability constants.
@@ -310,90 +304,60 @@ def explicit_dre_solution(
     return symmetrize(Sinf + Et @ np.linalg.inv(D) @ Et.T)
 
 
-def _transition_scan(
-    gen_of_Q: Callable[[np.ndarray], np.ndarray],
-    s: float,
-    t_list: Sequence[float],
-    q_path: np.ndarray,
-    params: ModelParams,
-    grid: TimeGrid,
+def transition_segments(
+    c: float, idx: Sequence[int], q_path: np.ndarray, params: ModelParams, grid: TimeGrid
 ) -> list[np.ndarray]:
-    """Integrate dM/dt = G(Q_t) M from the identity at s, recording at t_list.
+    """Transition matrices of dM/dt = (A - c Q_t H^T H) M between consecutive
+    node indices: entry j maps grid node idx[j] to node idx[j + 1].
 
-    RK4 with the generator at midpoints taken from linear interpolation of
-    the supplied path; per-step transition matrices therefore compose
-    exactly on grid nodes.
+    c = 1 gives the filter flow Phi and c = 1/2 the square-root flow Psi.
+    One RK4 pass runs from idx[0] to idx[-1], with the generator at
+    midpoints taken from linear interpolation of the supplied path, and
+    restarts from the identity at every node.  Per-step transition matrices
+    therefore compose exactly on grid nodes, and the flow from idx[i] to
+    idx[j] is the product of entries j-1, ..., i.
     """
-    i0 = grid.index_of(s)
-    targets = sorted(grid.index_of(t) for t in t_list)
-    if targets and targets[0] < i0:
-        raise ValueError("every t must satisfy t >= s")
+    idx = [int(k) for k in idx]
+    if idx[0] < 0 or any(b < a for a, b in zip(idx, idx[1:])):
+        raise ValueError(f"node indices must be non-negative and non-decreasing, got {idx}")
     q_path = np.asarray(q_path, dtype=float)
-    if q_path.ndim != 3 or (targets and q_path.shape[0] < targets[-1] + 1):
+    if q_path.ndim != 3 or q_path.shape[0] < idx[-1] + 1:
         raise PathCoverageError(
-            f"covariance path of length {q_path.shape[0]} does not cover "
-            f"grid index {targets[-1] if targets else i0}"
+            f"covariance path of length {q_path.shape[0]} does not cover grid index {idx[-1]}"
         )
-    d = params.d
+    A = params.A
+    HtH = params.H.T @ params.H
     dt = grid.dt
-    M = np.eye(d)
-    out: dict[int, np.ndarray] = {}
-    if targets and targets[0] == i0:
-        out[i0] = M.copy()
-    end = targets[-1] if targets else i0
-    want = set(targets)
-    for k in range(i0, end):
-        G0 = gen_of_Q(q_path[k])
-        G1 = gen_of_Q(q_path[k + 1])
-        Gm = 0.5 * (G0 + G1)
-        k1 = G0 @ M
-        k2 = Gm @ (M + 0.5 * dt * k1)
-        k3 = Gm @ (M + 0.5 * dt * k2)
-        k4 = G1 @ (M + dt * k3)
-        M = M + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if (k + 1) in want:
-            out[k + 1] = M.copy()
-    return [out[grid.index_of(t)] for t in t_list]
-
-
-def _phi_generator(params: ModelParams) -> Callable[[np.ndarray], np.ndarray]:
-    HtH = params.H.T @ params.H
-    A = params.A
-    return lambda Q: A - Q @ HtH
-
-
-def _psi_generator(params: ModelParams) -> Callable[[np.ndarray], np.ndarray]:
-    HtH = params.H.T @ params.H
-    A = params.A
-    return lambda Q: A - 0.5 * Q @ HtH
+    segments = []
+    for a, b in zip(idx, idx[1:]):
+        M = np.eye(params.d)
+        G1 = A - (c * q_path[a]) @ HtH
+        for k in range(a, b):
+            G0, G1 = G1, A - (c * q_path[k + 1]) @ HtH
+            Gm = 0.5 * (G0 + G1)
+            k1 = G0 @ M
+            k2 = Gm @ (M + 0.5 * dt * k1)
+            k3 = Gm @ (M + 0.5 * dt * k2)
+            k4 = G1 @ (M + dt * k3)
+            M = M + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        segments.append(M)
+    return segments
 
 
 def transition_phi(
     s: float, t: float, sigma_path: np.ndarray, params: ModelParams, grid: TimeGrid
 ) -> np.ndarray:
     """Transition matrix of dPhi/dt = (A - Sigma_t H^T H) Phi, Phi_{s,s} = I."""
-    return _transition_scan(_phi_generator(params), s, [t], sigma_path, params, grid)[0]
+    idx = [grid.index_of(s), grid.index_of(t)]
+    return transition_segments(1.0, idx, sigma_path, params, grid)[0]
 
 
 def transition_psi(
     s: float, t: float, q_path: np.ndarray, params: ModelParams, grid: TimeGrid
 ) -> np.ndarray:
     """Transition matrix of dPsi/dt = (A - Q_t H^T H / 2) Psi, Psi_{s,s} = I."""
-    return _transition_scan(_psi_generator(params), s, [t], q_path, params, grid)[0]
-
-
-def transition_phi_scan(
-    s: float, t_list: Sequence[float], sigma_path: np.ndarray, params: ModelParams, grid: TimeGrid
-) -> list[np.ndarray]:
-    """transition_phi evaluated at several end times in one integration pass."""
-    return _transition_scan(_phi_generator(params), s, t_list, sigma_path, params, grid)
-
-
-def transition_psi_scan(
-    s: float, t_list: Sequence[float], q_path: np.ndarray, params: ModelParams, grid: TimeGrid
-) -> list[np.ndarray]:
-    """transition_psi evaluated at several end times in one integration pass."""
-    return _transition_scan(_psi_generator(params), s, t_list, q_path, params, grid)
+    idx = [grid.index_of(s), grid.index_of(t)]
+    return transition_segments(0.5, idx, q_path, params, grid)[0]
 
 
 def fit_envelope_constant(

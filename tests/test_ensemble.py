@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -31,7 +30,6 @@ from enkbf_lab.ensemble import (
     particle_process_noise,
     particle_step,
     prior_states,
-    snapshot_to_csv,
 )
 from enkbf_lab.kalman import FilterState, kb_filter
 from enkbf_lab.linmodel import (
@@ -435,15 +433,6 @@ class TestPsdAndExport:
                 assert np.linalg.eigvalsh(st.cov).min() >= -1e-10
             ens = fpf_step(ens, st, obs.dZ[k], g.dt, diag_model, dB_k=dB[k])
         assert np.linalg.eigvalsh(empirical_stats(ens).cov).min() >= -1e-10
-
-    def test_snapshot_csv(self, scalar_model):
-        ens = Ensemble(t=0.25, states=[[1.5], [-0.5]])
-        buf = io.StringIO()
-        snapshot_to_csv(ens, buf)
-        lines = buf.getvalue().strip().split("\n")
-        assert lines[0] == "time,particle,x0"
-        assert lines[1] == "0.25,0,1.5"
-        assert lines[2] == "0.25,1,-0.5"
 
 
 _KERNEL_MODELS = {

@@ -98,6 +98,7 @@ class TestConfig:
         ("record_every", 0), ("n_copies", 1), ("workers", 0), ("psi_grid_points", 1),
         ("compare_stride_t", 0.0), ("compare_stride_t", float("nan")),
         ("init_family", "cauchy"), ("dt_bias_trials", 0), ("psi_dt", 0.0), ("psi_dt", -1e-3),
+        ("psi_dt", 3e-3),
     ])
     def test_bad_field_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -139,7 +140,7 @@ def _configs(draw):
         record_every=draw(st.integers(min_value=1, max_value=10**4)),
         w2_fit_window=(draw(_finite), draw(_finite)),
         psi_grid_points=draw(st.integers(min_value=2, max_value=100)),
-        psi_dt=draw(st.floats(min_value=1e-6, max_value=1.0)),
+        psi_dt=n * dt / draw(st.integers(min_value=1, max_value=10**6)),  # divides the span
         compare_stride_t=draw(st.floats(min_value=1e-6, max_value=10.0)),
         dt_bias_check=draw(st.booleans()),
         dt_bias_trials=draw(st.integers(min_value=1, max_value=10**4)),

@@ -1,10 +1,9 @@
-import io
 import math
 
 import numpy as np
 import pytest
 
-from enkbf_lab.kalman import FilterState, filter_path_to_csv, kb_filter
+from enkbf_lab.kalman import FilterState, kb_filter
 from enkbf_lab.linmodel import (
     ModelParams,
     NoiseBundle,
@@ -125,22 +124,3 @@ def test_rejects_bad_inputs(scalar_model, grid):
         kb_filter(scalar_model, grid,
                   ObservationIncrements(dZ=np.zeros((grid.n_steps, 1))), init=bad_init)
 
-
-def test_csv_export(scalar_model):
-    g = TimeGrid(T=0.02, dt=0.01)
-    _, _, fp = _run_filter(scalar_model, g, seed=4)
-    buf = io.StringIO()
-    filter_path_to_csv(fp, buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "time,m0,cov00"
-    assert len(lines) == 4
-    assert float(lines[1].split(",")[2]) == 1.0  # Sigma0
-
-
-def test_csv_export_upper_triangle(diag_model):
-    g = TimeGrid(T=0.02, dt=0.01)
-    _, _, fp = _run_filter(diag_model, g, seed=5)
-    buf = io.StringIO()
-    filter_path_to_csv(fp, buf)
-    header = buf.getvalue().split("\n")[0]
-    assert header == "time,m0,m1,cov00,cov01,cov11"

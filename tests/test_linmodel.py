@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -10,7 +9,6 @@ from enkbf_lab.linmodel import (
     ModelParams,
     NoiseBundle,
     TimeGrid,
-    path_to_csv,
     philox_keys,
     simulate_observations,
     simulate_truth,
@@ -320,15 +318,3 @@ class TestValidateAssumptions:
         with pytest.raises(Exception, match="a1"):
             rep.require("a1")
 
-
-def test_path_to_csv_format(scalar_model):
-    g = TimeGrid(T=0.02, dt=0.01)
-    x = simulate_truth(scalar_model, g, NoiseBundle(1, (0,)))
-    buf = io.StringIO()
-    path_to_csv(g.times(), x, buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "time,component,value"
-    assert len(lines) == 1 + 3 * 1
-    t, comp, val = lines[1].split(",")
-    assert float(t) == 0.0 and comp == "0"
-    assert float(val) == x[0, 0]

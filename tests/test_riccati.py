@@ -20,7 +20,7 @@ from enkbf_lab.riccati import (
     sqrt_ricc,
     transition_phi,
     transition_psi,
-    transition_psi_scan,
+    transition_segments,
 )
 from enkbf_lab.linmodel import AssumptionError
 
@@ -193,10 +193,8 @@ class TestSolveAre:
         with pytest.raises(AssumptionError, match="A1"):
             solve_are(m)
 
-    def test_constants_report_roundtrips_edges(self, scalar_consts, tmp_path):
-        out = tmp_path / "constants.txt"
-        scalar_consts.write_text(out)
-        text = out.read_text()
+    def test_constants_report_roundtrips_edges(self, scalar_consts):
+        text = scalar_consts.to_text()
         assert "sigma_inf" in text and "are_residual" in text
         assert repr(scalar_consts.beta) in text
 
@@ -267,13 +265,27 @@ class TestTransitionFlows:
             splitp = transition_psi(0.7, 2.0, path, mdl, grid) @ transition_psi(0.0, 0.7, path, mdl, grid)
             assert np.allclose(fullp, splitp, atol=1e-13)
 
-    def test_scan_agrees_with_single_calls(self, scalar_model):
+    def test_segments_agree_with_single_calls(self, scalar_model, diag_model):
+        grid = TimeGrid(T=1.0, dt=1e-2)
+        nodes = [0.2, 0.2, 0.5, 1.0]
+        idx = [grid.index_of(t) for t in nodes]
+        for mdl in (scalar_model, diag_model):
+            path = integrate_dre(mdl.Sigma0, mdl, grid)
+            for c, single in ((0.5, transition_psi), (1.0, transition_phi)):
+                segs = transition_segments(c, idx, path, mdl, grid)
+                assert len(segs) == 3
+                assert np.array_equal(segs[0], np.eye(mdl.d))
+                for s, t, M in zip(nodes, nodes[1:], segs):
+                    assert np.array_equal(M, single(s, t, path, mdl, grid))
+
+    def test_segments_refuse_bad_indices(self, scalar_model):
         grid = TimeGrid(T=1.0, dt=1e-2)
         path = integrate_dre(scalar_model.Sigma0, scalar_model, grid)
-        scan = transition_psi_scan(0.2, [0.2, 0.5, 1.0], path, scalar_model, grid)
-        for t, M in zip([0.2, 0.5, 1.0], scan):
-            single = transition_psi(0.2, t, path, scalar_model, grid)
-            assert np.array_equal(M, single)
+        for bad in ([0, 50, 40], [-1, 10]):
+            with pytest.raises(ValueError, match="non-decreasing"):
+                transition_segments(0.5, bad, path, scalar_model, grid)
+        with pytest.raises(PathCoverageError, match="grid index 100"):
+            transition_segments(0.5, [0, 20, 100], path[:50], scalar_model, grid)
 
     def test_psi_envelope_decay_bound(self, scalar_model, scalar_consts):
         # ||Psi_{t,s}|| <= alpha exp(-beta (t-s)) with Q_t the DRE solution
@@ -282,9 +294,11 @@ class TestTransitionFlows:
         s_nodes = np.round(np.linspace(0.0, 4.0, 10), 3)
         for s in s_nodes:
             ts = [round(float(t), 3) for t in np.linspace(s, 5.0, 10)]
-            ts = [grid.t0 + grid.index_of(t) * grid.dt for t in ts]
-            mats = transition_psi_scan(float(s), ts, path, scalar_model, grid)
-            for t, M in zip(ts, mats):
+            idx = [grid.index_of(float(s))] + [grid.index_of(t) for t in ts]
+            M = np.eye(1)
+            for k, P in zip(idx[1:], transition_segments(0.5, idx, path, scalar_model, grid)):
+                M = P @ M  # Psi_{t,s} composed from segments on grid nodes
+                t = grid.t0 + k * grid.dt
                 bound = scalar_consts.alpha * math.exp(-scalar_consts.beta * (t - s))
                 assert spectral_norm(M) <= bound
 
