@@ -6,8 +6,9 @@ Usage:
 
 Writes one subdirectory per experiment (trials.csv, curves.csv, fits.csv,
 constants.txt, config_echo.json) and prints the assertion outcomes.  Exits
-nonzero if any configured assertion fails.  Expect roughly ten minutes of
-wall time at the defaults.
+nonzero if any configured assertion fails.  At the defaults a run took
+286 s, about 5 minutes, on a 2-core machine (Python 3.11, numpy 2.4):
+195 s for convergence, 72 s for chaos and 19 s for the rest.
 """
 
 import argparse

@@ -73,7 +73,7 @@ def main() -> None:
     dB = particle_increments(pb, N, grid, model.d_B, PURPOSE_PROCESS)
     for k in range(grid.n_steps):
         mean, cov = ensemble_moments(x)
-        x = particle_step(x, mean, cov, obs.dZ[k], grid.dt, model, STOCHASTIC_FPF, dB=dB[k])
+        x = particle_step(x, mean, cov, obs[k], grid.dt, model, STOCHASTIC_FPF, dB=dB[k])
     mean, cov = ensemble_moments(x)
     print(f"final filter mean    : {fp.means[-1]}")
     print(f"final ensemble mean  : {mean}")

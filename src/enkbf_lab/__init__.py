@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .linmodel import (  # noqa: F401
     ModelParams,
     NoiseBundle,
-    ObservationIncrements,
     TimeGrid,
     simulate_observations,
     simulate_truth,
@@ -20,8 +19,7 @@ from .riccati import (  # noqa: F401
     ricc_rhs,
     solve_are,
     sqrt_ricc,
-    transition_phi,
-    transition_psi,
+    transition_segments,
 )
 from .kalman import FilterPath, FilterState, kb_filter  # noqa: F401
 from .ensemble import (  # noqa: F401
@@ -31,7 +29,6 @@ from .ensemble import (  # noqa: F401
     VariantParams,
     coupled_step,
     empirical_stats,
-    error_processes,
     fpf_step,
     init_coupled,
     init_ensemble,

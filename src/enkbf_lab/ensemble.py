@@ -36,7 +36,6 @@ __all__ = [
     "fpf_step",
     "coupled_step",
     "init_coupled",
-    "error_processes",
     "mean_field_copy_step",
     "particle_process_noise",
     "particle_obs_perturbations",
@@ -434,13 +433,3 @@ def coupled_step(
     )
     return CoupledSystem(ensemble=new_ens, copies=new_copies)
 
-
-def error_processes(sys: CoupledSystem, kf_state) -> tuple[np.ndarray, np.ndarray]:
-    """Centered error views: xi^i = X^i - m^(N) and xibar^i = Xbar^i - m_t.
-
-    These are derived quantities, not separately integrated processes.
-    """
-    x = sys.ensemble.states
-    xi = x - x.mean(axis=0)
-    xi_bar = sys.copies - np.atleast_1d(kf_state.mean)
-    return xi, xi_bar

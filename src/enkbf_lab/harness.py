@@ -1,10 +1,10 @@
 """Experiment orchestration: configs, seed tree, trial execution, CSV outputs.
 
 Each experiment is a named, seeded, reproducible run with configured
-assertions; an experiment passes iff every assertion holds.  Trials are the
-unit of parallelism and each trial derives its own streams from
-(master_seed, experiment, N, trial), so results are byte-identical for any
-worker count.
+assertions; an experiment passes iff every assertion holds.  Blocks of
+trials are the unit of parallelism, cut independently of the worker count,
+and each trial derives its own streams from (master_seed, experiment, N,
+trial), so results are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -12,11 +12,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
 import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass
+from functools import partial
 from itertools import cycle, repeat
 from multiprocessing import get_context
 from pathlib import Path
@@ -170,7 +172,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.name not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.name!r}; one of {EXPERIMENTS}")
-        N_list = tuple(int(N) for N in self.N_list)
+        for name in _INT_FIELDS:
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        if not isinstance(self.dt_bias_check, bool):
+            raise ValueError(f"dt_bias_check must be a bool, got {self.dt_bias_check!r}")
+        N_list = tuple(_integer("N_list entry", N) for N in self.N_list)
         if sorted(set(N_list)) != sorted(N_list):
             raise ValueError("N_list must not contain duplicates")
         object.__setattr__(self, "N_list", tuple(sorted(N_list)))
@@ -180,7 +186,7 @@ class ExperimentConfig:
             raise ValueError("n_trials must be positive")
         if self.p < 1:
             raise ValueError("p must be a positive integer")
-        if int(self.master_seed) < 0:
+        if self.master_seed < 0:
             raise ValueError("master_seed must be a non-negative integer")
         for name, low in (("record_every", 1), ("n_copies", 2), ("workers", 1),
                           ("psi_grid_points", 2), ("dt_bias_trials", 1)):
@@ -244,6 +250,17 @@ class ExperimentConfig:
 
 
 _RUNTIME_FIELDS = ("output_dir", "workers")
+_INT_FIELDS = ("n_trials", "p", "master_seed", "n_copies", "record_every",
+               "psi_grid_points", "dt_bias_trials", "workers")
+
+
+def _integer(name: str, v) -> int:
+    """``v`` as an int; a bool or a non-integer number is refused by name."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    return int(v)
+
+
 _DECODERS = {
     "model": ModelParams.from_config,
     "grid": lambda d: TimeGrid(**d),
@@ -490,7 +507,7 @@ def _rate_block(plan: dict, kind: str, N: int, trials: range) -> list:
     covs = plan["cov_path"]
     observed = [_observed(plan["master_seed"], kind, N, trial, model, grid, covs)
                 for trial in trials]
-    dZ = np.stack([obs.dZ for obs, _ in observed], axis=1)
+    dZ = np.stack([obs for obs, _ in observed], axis=1)
     means = np.stack([fp.means for _, fp in observed], axis=1)
     x, dB, dW = _particle_draws(plan, kind, N, trials, grid)
     chaos = kind == "chaos"
@@ -537,7 +554,7 @@ def _bias_block(plan: dict, kind: str, N: int, trials: range) -> list:
     rows = []
     for label, g, obs, covs, dB, dW, ckpt in legs:
         means = np.stack([kb_filter(model, g, o, cov_path=covs).means for o in obs], axis=1)
-        dZ = np.stack([o.dZ for o in obs], axis=1)
+        dZ = np.stack(obs, axis=1)
         for k, x, mean, cov, _ in _step_loop(
             model, g, dZ, dB, ckpt, (f"{kind} {label}", N, trials), x=x0, variant=variant, dW=dW,
         ):
@@ -550,70 +567,44 @@ def _bias_block(plan: dict, kind: str, N: int, trials: range) -> list:
     return rows
 
 
-_BLOCK_FNS = {
-    "convergence": _rate_block,
-    "convergence_bias": _bias_block,
-    "chaos": _rate_block,
-}
-
-_WORKER_PLAN: dict | None = None
-
-
-def _init_worker(plan: dict) -> None:
-    global _WORKER_PLAN
-    _WORKER_PLAN = plan
-
-
-def _job_rows(plan: dict, job) -> list:
-    """Rows of a (kind, N, trial-range) job, its trials stepped in blocks.
-
-    A block of B trials holds B * N * n_steps * d_B process increments;
-    B = max_N // N keeps that at most what one trial at the largest N
-    needs."""
-    kind, N, lo, hi = job
-    size = max(1, plan["max_N"] // N)
-    rows = []
-    for start in range(lo, hi, size):
-        rows.extend(_BLOCK_FNS[kind](plan, kind, N, range(start, min(hi, start + size))))
-    return rows
+def _blocks(kind: str, N_list, n_trials: int, max_N: int) -> list:
+    """(kind, N, trials) blocks of a rate experiment, each N's trials cut in
+    order into ranges of B = max_N // N: the unit of stepping and of
+    dispatch.  A block holds B * N * n_steps * d_B process increments, at
+    most what one trial at the largest N needs, so it also costs at most
+    about one such trial."""
+    blocks = []
+    for N in N_list:
+        B = max(1, max_N // N)
+        blocks += [(kind, N, range(lo, min(n_trials, lo + B))) for lo in range(0, n_trials, B)]
+    return blocks
 
 
-def _run_job(job) -> list:
-    return _job_rows(_WORKER_PLAN, job)
+def _block_rows(plan: dict, block: tuple) -> list:
+    """Rows of one (kind, N, trials) block."""
+    kind, N, trials = block
+    step = _bias_block if kind == "convergence_bias" else _rate_block
+    return step(plan, kind, N, trials)
 
 
-def _run_trials(plan: dict, jobs: list, workers: int) -> list:
-    """Run (kind, N, trial-range) jobs, serially or on a process pool of
-    at most ``workers``, one per job and one per CPU.
+def _run_trials(plan: dict, blocks: list, workers: int) -> list:
+    """Run blocks, serially or on a process pool of at most ``workers``,
+    one per block and one per CPU; each task carries the plan.
 
     Aggregation sorts rows by (N, trial, t, quantity), so the outcome does
     not depend on worker count or completion order."""
+    run = partial(_block_rows, plan)
     rows = []
-    procs = min(workers, len(jobs), os.cpu_count() or 1)
+    procs = min(workers, len(blocks), os.cpu_count() or 1)
     if procs <= 1:
-        for job in jobs:
-            rows.extend(_job_rows(plan, job))
+        for block in blocks:
+            rows.extend(run(block))
     else:
-        with ProcessPoolExecutor(
-            max_workers=procs, mp_context=get_context("spawn"),
-            initializer=_init_worker, initargs=(plan,),
-        ) as ex:
-            for chunk in ex.map(_run_job, jobs):
+        with ProcessPoolExecutor(max_workers=procs, mp_context=get_context("spawn")) as ex:
+            for chunk in ex.map(run, blocks):
                 rows.extend(chunk)
     rows.sort(key=lambda r: r.sort_key())
     return rows
-
-
-def _make_jobs(kind: str, N_list, n_trials: int, workers: int) -> list:
-    """One job per N for one process; for a pool, about four per process
-    and N, counting only the processes one per CPU allows."""
-    workers = min(workers, os.cpu_count() or 1)
-    chunk = n_trials if workers <= 1 else math.ceil(n_trials / (workers * 4))
-    return [
-        (kind, N, lo, min(n_trials, lo + chunk))
-        for N in N_list
-        for lo in range(0, n_trials, chunk)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -838,7 +829,7 @@ def run_exactness(cfg: ExperimentConfig) -> ExperimentResult:
         )
     ]
     for k, _, _, _, copies in _step_loop(
-        model, grid, obs.dZ, dB, ckpt, (cfg.name, M, range(1)),
+        model, grid, obs, dB, ckpt, (cfg.name, M, range(1)),
         copies=copies, kf_means=fp.means, kf_covs=fp.covs,
     ):
         t = grid.t0 + k * grid.dt
@@ -927,7 +918,7 @@ def run_stability(cfg: ExperimentConfig) -> ExperimentResult:
     rows: list = []
     w2_identical_max = 0.0
     for k, _, _, _, pops in _step_loop(
-        model, grid, obs.dZ, dB, ckpt, (cfg.name, M, range(1)),
+        model, grid, obs, dB, ckpt, (cfg.name, M, range(1)),
         copies=pops, kf_means=kf_means, kf_covs=kf_covs,
     ):
         t = grid.t0 + k * grid.dt
@@ -1012,52 +1003,56 @@ def _slope_assertions(result_fits, assertions, label):
         )
 
 
-def _rate_plan(cfg: ExperimentConfig, cov_path: np.ndarray) -> dict:
-    """What every trial of a rate experiment shares."""
-    return {
-        "master_seed": cfg.master_seed,
-        "model": cfg.model,
-        "grid": cfg.grid,
-        "variant": cfg.variant,
-        "cov_path": cov_path,
-        "ckpt_idx": frozenset(cfg.grid.index_of(t) for t in cfg.checkpoints),
-        "max_N": max(cfg.N_list),
-    }
-
-
-def run_convergence(cfg: ExperimentConfig) -> ExperimentResult:
-    """Finite-N moment-error rates against the exact filter."""
-    t_start = time.perf_counter()
+def _rate_experiment(cfg: ExperimentConfig, quantities, bound_p: int,
+                     bias_blocks=()) -> tuple:
+    """What the rate experiments share: refuse unsupported models, take the
+    stability constants and the bounds of moment order ``bound_p``, step
+    the experiment's blocks and then ``bias_blocks`` on one plan, and fit
+    an error curve per quantity and checkpoint.  Returns the result, its
+    assertions still to add, and the bounds (None without constants)."""
     _require_rate_preconditions(cfg)
-    model = cfg.model
-    grid = cfg.grid
+    model, grid = cfg.model, cfg.grid
     consts = _try_constants(model)
-    bounds = theoretical_bounds(model, consts, cfg.p) if consts is not None else None
-    cov_path = integrate_dre(model.Sigma0, model, grid)
-    plan = _rate_plan(cfg, cov_path)
-    jobs = _make_jobs("convergence", cfg.N_list, cfg.n_trials, cfg.workers)
-    if cfg.dt_bias_check:
+    bounds = theoretical_bounds(model, consts, bound_p) if consts is not None else None
+    plan = {
+        "master_seed": cfg.master_seed,
+        "model": model,
+        "grid": grid,
+        "variant": cfg.variant,
+        "cov_path": integrate_dre(model.Sigma0, model, grid),
+        "ckpt_idx": frozenset(grid.index_of(t) for t in cfg.checkpoints),
+    }
+    if bias_blocks:
         plan["cov_path_fine"] = integrate_dre(model.Sigma0, model, grid.refined())
-        jobs += _make_jobs(
-            "convergence_bias", (max(cfg.N_list),), cfg.dt_bias_trials, cfg.workers
-        )
-    rows = _run_trials(plan, jobs, cfg.workers)
+    blocks = _blocks(cfg.name, cfg.N_list, cfg.n_trials, max(cfg.N_list)) + list(bias_blocks)
+    rows = _run_trials(plan, blocks, cfg.workers)
 
     curves, fits = [], []
-    assertions: list = []
-    for q in ("cov_err_2p", "mean_err"):
+    for q in quantities:
         for t in cfg.checkpoints:
             curve = mse_curve(rows, q, t, p=cfg.p, min_distinct_N=1)
             curves.extend((q, t, pt) for pt in curve)
             if len(curve) >= 3 and all(pt.estimate > 0.0 for pt in curve):
                 fits.append((q, t, rate_fit(curve)))
-    _slope_assertions(fits, assertions, "convergence")
+    result = ExperimentResult(config=cfg, rows=rows, curves=curves, fits=fits,
+                              constants=consts, metadata=_base_metadata(cfg, consts))
+    return result, bounds
+
+
+def run_convergence(cfg: ExperimentConfig) -> ExperimentResult:
+    """Finite-N moment-error rates against the exact filter."""
+    t_start = time.perf_counter()
+    N_max = max(cfg.N_list)
+    bias_blocks = (_blocks("convergence_bias", (N_max,), cfg.dt_bias_trials, N_max)
+                   if cfg.dt_bias_check else [])
+    res, bounds = _rate_experiment(cfg, ("cov_err_2p", "mean_err"), cfg.p, bias_blocks)
+    rows, curves, assertions = res.rows, res.curves, res.assertions
+    _slope_assertions(res.fits, assertions, "convergence")
 
     # Uniform-in-time: level at the last checkpoint within a factor 3 of the
     # first, for the largest N.
     t_first, t_last = min(cfg.checkpoints), max(cfg.checkpoints)
     if t_last > t_first:
-        N_max = max(cfg.N_list)
         def cov_level(t):
             return next(
                 pt.estimate
@@ -1126,62 +1121,32 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentResult:
             )
         assertions.append(AssertionOutcome("dt_bias_control", worst_change < 0.2, detail))
 
-    md = _base_metadata(cfg, consts)
     if bounds is not None:
-        md["bounds"] = {
+        res.metadata["bounds"] = {
             "C1": bounds.C1, "C2": bounds.C2, "C3": bounds.C3, "C4": bounds.C4,
             "mu_A": bounds.mu_A, "p": bounds.p,
         }
-    md["wall_time_s"] = time.perf_counter() - t_start
-    return ExperimentResult(
-        config=cfg, rows=rows, curves=curves, fits=fits,
-        constants=consts, assertions=assertions, metadata=md,
-    )
+    res.metadata["wall_time_s"] = time.perf_counter() - t_start
+    return res
 
 
 def run_chaos(cfg: ExperimentConfig) -> ExperimentResult:
     """Propagation-of-chaos rates from the coupled particle/copy system."""
     t_start = time.perf_counter()
-    _require_rate_preconditions(cfg)
     if cfg.variant != STOCHASTIC_FPF:
         raise ValueError(
             "the coupled-copy construction is defined for the (1, 0) variant"
         )
-    model = cfg.model
-    grid = cfg.grid
-    consts = _try_constants(model)
-    bounds = (
-        theoretical_bounds(model, consts, max(2, cfg.p)) if consts is not None else None
-    )
-    cov_path = integrate_dre(model.Sigma0, model, grid)
-    plan = _rate_plan(cfg, cov_path)
-    jobs = _make_jobs("chaos", cfg.N_list, cfg.n_trials, cfg.workers)
-    rows = _run_trials(plan, jobs, cfg.workers)
-
-    curves, fits = [], []
-    assertions: list = []
-    quantities = ["particle_coupling", "function_mc"]
-    if model.d == 1:
-        quantities.append("function_mc_abs")
-    for q in quantities:
-        for t in cfg.checkpoints:
-            curve = mse_curve(rows, q, t, p=cfg.p, min_distinct_N=1)
-            curves.extend((q, t, pt) for pt in curve)
-            if len(curve) >= 3 and all(pt.estimate > 0.0 for pt in curve):
-                fits.append((q, t, rate_fit(curve)))
-    asserted = [
-        (q, t, f) for q, t, f in fits if q in ("particle_coupling", "function_mc")
-    ]
-    _slope_assertions(asserted, assertions, "chaos")
-
-    md = _base_metadata(cfg, consts)
+    quantities = ("particle_coupling", "function_mc")
+    if cfg.model.d == 1:
+        quantities += ("function_mc_abs",)
+    res, bounds = _rate_experiment(cfg, quantities, max(2, cfg.p))
+    asserted = [(q, t, f) for q, t, f in res.fits if q in quantities[:2]]
+    _slope_assertions(asserted, res.assertions, "chaos")
     if bounds is not None:
-        md["C4"] = bounds.C4
-    md["wall_time_s"] = time.perf_counter() - t_start
-    return ExperimentResult(
-        config=cfg, rows=rows, curves=curves, fits=fits,
-        constants=consts, assertions=assertions, metadata=md,
-    )
+        res.metadata["C4"] = bounds.C4
+    res.metadata["wall_time_s"] = time.perf_counter() - t_start
+    return res
 
 
 _RUNNERS = {

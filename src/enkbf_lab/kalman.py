@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linmodel import ModelParams, ObservationIncrements, TimeGrid, symmetrize
+from .linmodel import ModelParams, TimeGrid, symmetrize
 from .riccati import integrate_dre
 
 __all__ = ["FilterState", "FilterPath", "kb_filter"]
@@ -46,11 +46,12 @@ class FilterPath:
 def kb_filter(
     params: ModelParams,
     grid: TimeGrid,
-    obs: ObservationIncrements,
+    obs: np.ndarray,
     init: FilterState | None = None,
     cov_path: np.ndarray | None = None,
 ) -> FilterPath:
-    """Run the Kalman-Bucy filter against a recorded observation record.
+    """Run the Kalman-Bucy filter against a recorded observation record,
+    the increments dZ_k of shape (n_steps, m).
 
     The mean is updated by explicit Euler with gain K_k = Sigma_k H^T,
     m <- m + A m dt + K_k (dZ_k - H m dt).  The covariance advances by one
@@ -65,10 +66,10 @@ def kb_filter(
         init = FilterState(t=grid.t0, mean=params.m0, cov=params.Sigma0)
     if init.mean.size != params.d:
         raise ValueError("init mean dimension does not match the model")
-    if obs.n_steps != grid.n_steps or obs.m != params.m:
+    obs = np.asarray(obs, dtype=float)
+    if obs.shape != (grid.n_steps, params.m):
         raise ValueError(
-            f"observation record has shape {(obs.n_steps, obs.m)}, "
-            f"expected {(grid.n_steps, params.m)}"
+            f"observation record has shape {obs.shape}, expected {(grid.n_steps, params.m)}"
         )
     w_min = float(np.linalg.eigvalsh(init.cov).min())
     if w_min < -_PSD_TOL * max(1.0, float(np.abs(init.cov).max())):
@@ -90,7 +91,7 @@ def kb_filter(
         a = float(params.A[0, 0])
         h = float(params.H[0, 0])
         K = (covs[:, 0, 0] * h).tolist()
-        dZ = obs.dZ[:, 0].tolist()
+        dZ = obs[:, 0].tolist()
         m = float(init.mean[0])
         out = means[:, 0]
         for k in range(n):
@@ -102,6 +103,6 @@ def kb_filter(
         m = means[0].copy()
         for k in range(n):
             K = covs[k] @ H.T
-            m = m + (A @ m) * dt + K @ (obs.dZ[k] - (H @ m) * dt)
+            m = m + (A @ m) * dt + K @ (obs[k] - (H @ m) * dt)
             means[k + 1] = m
     return FilterPath(times=grid.times(), means=means, covs=covs)

@@ -17,7 +17,6 @@ __all__ = [
     "ModelParams",
     "TimeGrid",
     "NoiseBundle",
-    "ObservationIncrements",
     "AssumptionReport",
     "AssumptionError",
     "simulate_truth",
@@ -408,26 +407,6 @@ class NoiseBundle:
         return self.generator().standard_normal((n_steps, dim)) * np.sqrt(dt)
 
 
-@dataclass(frozen=True, eq=False)
-class ObservationIncrements:
-    """Immutable record of observation increments dZ_k on a grid."""
-
-    dZ: np.ndarray  # (n_steps, m)
-
-    def __post_init__(self):
-        dZ = np.atleast_2d(np.asarray(self.dZ, dtype=float))
-        dZ.setflags(write=False)
-        object.__setattr__(self, "dZ", dZ)
-
-    @property
-    def n_steps(self) -> int:
-        return self.dZ.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.dZ.shape[1]
-
-
 def simulate_truth(
     params: ModelParams,
     grid: TimeGrid,
@@ -480,8 +459,9 @@ def simulate_observations(
     truth: np.ndarray,
     noise: NoiseBundle,
     dW: np.ndarray | None = None,
-) -> ObservationIncrements:
-    """Observation increments dZ_k = H X_{t_k} dt + dW_k on the truth's grid.
+) -> np.ndarray:
+    """Observation increments dZ_k = H X_{t_k} dt + dW_k on the truth's grid,
+    a read-only array of shape (n_steps, m).
 
     ``dW`` overrides the stream increments (test hook); shape (n_steps, m).
     """
@@ -498,7 +478,8 @@ def simulate_observations(
         if dW.shape != (n, params.m):
             raise ValueError(f"dW has shape {dW.shape}, expected {(n, params.m)}")
     dZ = truth[:-1] @ params.H.T * grid.dt + dW
-    return ObservationIncrements(dZ=dZ)
+    dZ.setflags(write=False)
+    return dZ
 
 
 @dataclass(frozen=True)
@@ -517,10 +498,6 @@ class AssumptionReport:
     stabilizable: bool
     mu_A: float
     sigma_B_min_eig: float
-
-    @property
-    def all_hold(self) -> bool:
-        return self.a1 and self.a2 and self.a3
 
     def require(self, *names: str) -> None:
         failed = [n for n in names if not getattr(self, n)]

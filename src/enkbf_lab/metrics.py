@@ -185,6 +185,7 @@ QUANTITIES = {
 }
 _QUANTITY_ID = {name: i for i, name in enumerate(sorted(QUANTITIES))}
 _BOOT_ENTROPY = 0xB0075EED
+_N_BOOT = 1000  # bootstrap resamples per curve point
 
 
 def _estimate(values: np.ndarray, mode: str, p: int) -> np.ndarray:
@@ -203,13 +204,12 @@ def mse_curve(
     quantity: str,
     t: float,
     p: int = 1,
-    n_boot: int = 1000,
     min_trials: int = 30,
     min_distinct_N: int = 2,
 ) -> list[CurvePoint]:
     """Monte Carlo error curve over N with bootstrap standard errors.
 
-    Trials are resampled (1000 draws by default) at the trial level; the
+    Trials are resampled (``_N_BOOT`` = 1000 draws) at the trial level; the
     reported band is estimate +/- one bootstrap standard deviation.
     Requires at least two distinct N values with min_trials trials each
     (degenerate single-N runs may relax min_distinct_N).
@@ -240,7 +240,7 @@ def mse_curve(
             spawn_key=(_QUANTITY_ID[quantity], int(round(t * 1e6)), N),
         )
         rng = np.random.Generator(np.random.Philox(seed=ss))
-        idx = rng.integers(0, vals.size, size=(n_boot, vals.size))
+        idx = rng.integers(0, vals.size, size=(_N_BOOT, vals.size))
         reps = _estimate(vals[idx], mode, p)
         stderr = float(reps.std(ddof=1))
         out.append(

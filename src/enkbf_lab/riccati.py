@@ -36,8 +36,6 @@ __all__ = [
     "explicit_dre_solution",
     "solve_are",
     "transition_segments",
-    "transition_phi",
-    "transition_psi",
     "fit_envelope_constant",
     "spectral_norm",
 ]
@@ -342,22 +340,6 @@ def transition_segments(
             M = M + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         segments.append(M)
     return segments
-
-
-def transition_phi(
-    s: float, t: float, sigma_path: np.ndarray, params: ModelParams, grid: TimeGrid
-) -> np.ndarray:
-    """Transition matrix of dPhi/dt = (A - Sigma_t H^T H) Phi, Phi_{s,s} = I."""
-    idx = [grid.index_of(s), grid.index_of(t)]
-    return transition_segments(1.0, idx, sigma_path, params, grid)[0]
-
-
-def transition_psi(
-    s: float, t: float, q_path: np.ndarray, params: ModelParams, grid: TimeGrid
-) -> np.ndarray:
-    """Transition matrix of dPsi/dt = (A - Q_t H^T H / 2) Psi, Psi_{s,s} = I."""
-    idx = [grid.index_of(s), grid.index_of(t)]
-    return transition_segments(0.5, idx, q_path, params, grid)[0]
 
 
 def fit_envelope_constant(

@@ -19,7 +19,6 @@ from enkbf_lab.ensemble import (
     coupled_step,
     empirical_stats,
     ensemble_moments,
-    error_processes,
     fpf_step,
     init_coupled,
     init_ensemble,
@@ -318,7 +317,7 @@ class TestVariantEquivalence:
             )
             for k in range(g.n_steps):
                 st = empirical_stats(ens)
-                ens = fpf_step(ens, st, obs.dZ[k], g.dt, scalar_model,
+                ens = fpf_step(ens, st, obs[k], g.dt, scalar_model,
                                dB_k=dB[k], dW_k=None if dW is None else dW[k])
             st = empirical_stats(ens)
             results[tag] = (st.mean[0], st.cov[0, 0])
@@ -342,7 +341,7 @@ class TestCoupledSystem:
         copies = np.full((3, 1), 1.0)
         for k in range(g.n_steps):
             copies = mean_field_copy_step(
-                copies, fp.means[k], fp.covs[k], obs.dZ[k], g.dt, m, dB_k=None
+                copies, fp.means[k], fp.covs[k], obs[k], g.dt, m, dB_k=None
             )
             assert np.all(copies[:, 0] == fp.means[k + 1, 0])
 
@@ -373,7 +372,7 @@ class TestCoupledSystem:
         assert np.array_equal(sys.copies, sys.ensemble.states)
         dB = particle_process_noise(pb, 8, g, 1)
         for k in range(g.n_steps):
-            sys = coupled_step(sys, fp.state(k), obs.dZ[k], g.dt, scalar_model, dB_k=dB[k])
+            sys = coupled_step(sys, fp.state(k), obs[k], g.dt, scalar_model, dB_k=dB[k])
         assert sys.t == pytest.approx(0.1)
         assert not np.array_equal(sys.copies, sys.ensemble.states)
 
@@ -397,19 +396,10 @@ class TestCoupledSystem:
         sys = init_coupled(init_ensemble(scalar_model, N, STOCHASTIC_FPF, pb))
         dB = particle_process_noise(pb, N, g, 1)
         for k in range(g.n_steps):
-            sys = coupled_step(sys, fp.state(k), obs.dZ[k], g.dt, scalar_model,
+            sys = coupled_step(sys, fp.state(k), obs[k], g.dt, scalar_model,
                                dB_k=dB[k], cov_override=fp.covs[k])
         gap = np.abs(sys.ensemble.states - sys.copies).max()
         assert gap < 0.2
-
-    def test_error_processes_views(self, scalar_model):
-        ens = Ensemble(t=0.0, states=[[1.0], [3.0], [5.0]])
-        sys = CoupledSystem(ensemble=ens, copies=np.array([[0.5], [2.0], [4.0]]))
-        kf = FilterState(t=0.0, mean=[2.0], cov=[[1.0]])
-        xi, xi_bar = error_processes(sys, kf)
-        assert np.allclose(xi.sum(axis=0), 0.0, atol=1e-14)
-        assert xi[0, 0] == -2.0
-        assert np.allclose(xi_bar[:, 0], [-1.5, 0.0, 2.0])
 
     def test_copy_shape_mismatch_rejected(self, scalar_model):
         ens = Ensemble(t=0.0, states=[[1.0], [3.0]])
@@ -431,7 +421,7 @@ class TestPsdAndExport:
             st = empirical_stats(ens)
             if k % 50 == 0:
                 assert np.linalg.eigvalsh(st.cov).min() >= -1e-10
-            ens = fpf_step(ens, st, obs.dZ[k], g.dt, diag_model, dB_k=dB[k])
+            ens = fpf_step(ens, st, obs[k], g.dt, diag_model, dB_k=dB[k])
         assert np.linalg.eigvalsh(empirical_stats(ens).cov).min() >= -1e-10
 
 

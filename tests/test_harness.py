@@ -98,7 +98,10 @@ class TestConfig:
         ("record_every", 0), ("n_copies", 1), ("workers", 0), ("psi_grid_points", 1),
         ("compare_stride_t", 0.0), ("compare_stride_t", float("nan")),
         ("init_family", "cauchy"), ("dt_bias_trials", 0), ("psi_dt", 0.0), ("psi_dt", -1e-3),
-        ("psi_dt", 3e-3),
+        ("psi_dt", 3e-3), ("master_seed", 1.5), ("master_seed", True), ("p", 1.5),
+        ("workers", 2.5), ("n_copies", 1000.7), ("record_every", 2.5), ("n_trials", 30.0),
+        ("dt_bias_trials", False), ("psi_grid_points", 20.0), ("N_list", (25, 50.5)),
+        ("N_list", (25, True)), ("dt_bias_check", "no"), ("dt_bias_check", 1),
     ])
     def test_bad_field_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -595,13 +598,12 @@ def test_synthetic_rate_rows_fit_slope_minus_one():
 
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records the pool size and runs
-    the jobs in this process."""
+    the blocks in this process."""
 
     sizes: list = []
 
-    def __init__(self, max_workers, mp_context, initializer, initargs):
+    def __init__(self, max_workers, mp_context):
         self.sizes.append(max_workers)
-        initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -609,23 +611,65 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, jobs):
-        return map(fn, jobs)
+    def map(self, fn, blocks):
+        return map(fn, blocks)
 
 
 @pytest.mark.parametrize("workers, cpus, expected", [(64, 3, 3), (64, 1000, 30), (2, 1000, 2)])
 def test_pool_size_clamped_to_jobs_and_cpus(monkeypatch, workers, cpus, expected):
     monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(harness, "_WORKER_PLAN", None)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
-    # 30 trials at one N, in jobs sized for min(workers, cpus) processes
+    # 30 trials at one N, so 30 blocks of one trial
     small = dict(N_list=(25,), checkpoints=(0.5,), grid=TimeGrid(T=0.5, dt=5e-2))
     cfg = tiny_convergence_cfg(workers=workers, **small)
     serial = tiny_convergence_cfg(**small)
     rows = harness.run_convergence(cfg).rows
     assert _RecordingPool.sizes == [expected]
     assert rows == harness.run_convergence(serial).rows
+
+
+@given(
+    N_list=st.lists(st.integers(min_value=2, max_value=3000), min_size=1, max_size=6,
+                    unique=True).map(sorted),
+    n_trials=st.integers(min_value=1, max_value=300),
+    kind=st.sampled_from(["convergence", "chaos", "convergence_bias"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_blocks_cover_each_n_once_in_order(N_list, n_trials, kind):
+    max_N = max(N_list)
+    blocks = harness._blocks(kind, N_list, n_trials, max_N)
+    assert all(k == kind for k, _, _ in blocks)
+    for N in N_list:
+        trials = [i for _, n, r in blocks if n == N for i in r]
+        assert trials == list(range(n_trials))
+    assert [N for _, N, _ in blocks] == sorted(N for _, N, _ in blocks)
+    assert all(len(r) >= 1 and len(r) * N <= max_N for _, N, r in blocks)
+
+
+def test_blocks_do_not_depend_on_workers(monkeypatch):
+    # the split takes no worker count: every pool runs the serial blocks
+    seen = []
+    real = harness._block_rows
+
+    def recording(plan, block):
+        seen.append(block)
+        return real(plan, block)
+
+    monkeypatch.setattr(harness, "_block_rows", recording)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    small = dict(N_list=(10, 25), n_trials=30, checkpoints=(0.5,),
+                 grid=TimeGrid(T=0.5, dt=5e-2), dt_bias_check=True, dt_bias_trials=3)
+    rows = {}
+    for workers in (1, 2, 8):
+        seen.clear()
+        rows[workers] = harness.run_convergence(tiny_convergence_cfg(workers=workers, **small)).rows
+        assert seen == (harness._blocks("convergence", (10, 25), 30, 25)
+                        + harness._blocks("convergence_bias", (25,), 3, 25))
+    assert rows[1] == rows[2] == rows[8]
+    assert _RecordingPool.sizes == [2, 8]
 
 
 class TestChaosSmall:

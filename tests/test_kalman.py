@@ -7,7 +7,6 @@ from enkbf_lab.kalman import FilterState, kb_filter
 from enkbf_lab.linmodel import (
     ModelParams,
     NoiseBundle,
-    ObservationIncrements,
     TimeGrid,
     simulate_observations,
     simulate_truth,
@@ -61,7 +60,7 @@ def test_zero_innovation_record_leaves_drift_only(scalar_model):
     m_drift[0] = 0.7
     for k in range(g.n_steps):
         m_drift[k + 1] = m_drift[k] * (1.0 - g.dt)
-    obs = ObservationIncrements(dZ=(m_drift[:-1] * g.dt)[:, None])
+    obs = (m_drift[:-1] * g.dt)[:, None]
     fp = kb_filter(scalar_model, g, obs, init=FilterState(0.0, [0.7], [[1.0]]))
     assert np.allclose(fp.means[:, 0], m_drift, atol=1e-13)
 
@@ -116,11 +115,12 @@ def test_two_initializations_forget_each_other(scalar_model, scalar_consts):
 
 
 def test_rejects_bad_inputs(scalar_model, grid):
-    obs = ObservationIncrements(dZ=np.zeros((10, 1)))
     with pytest.raises(ValueError, match="observation record"):
-        kb_filter(scalar_model, grid, obs)
+        kb_filter(scalar_model, grid, np.zeros((10, 1)))
+    with pytest.raises(ValueError, match="observation record"):
+        kb_filter(scalar_model, grid, np.zeros(grid.n_steps))
     bad_init = FilterState(0.0, [0.0, 0.0], np.eye(2))
     with pytest.raises(ValueError, match="dimension"):
         kb_filter(scalar_model, grid,
-                  ObservationIncrements(dZ=np.zeros((grid.n_steps, 1))), init=bad_init)
+                  np.zeros((grid.n_steps, 1)), init=bad_init)
 

@@ -242,21 +242,22 @@ class TestSimulateObservations:
         x = simulate_truth(m, g, b.child(0))
         obs = simulate_observations(m, g, x, b.child(1))
         expected = b.child(1).brownian(g.n_steps, 1, g.dt)
-        assert np.array_equal(obs.dZ, expected)
+        assert np.array_equal(obs, expected)
+        assert obs.shape == (g.n_steps, 1) and not obs.flags.writeable
 
     def test_noiseless_hook_constant_state(self):
         m = ModelParams.scalar(a=0.0, h=1.0, sigma_b=0.0, m0=3.0, sigma0=0.0)
         g = TimeGrid(T=0.2, dt=0.01)
         x = simulate_truth(m, g, NoiseBundle(1, (0,)))
         obs = simulate_observations(m, g, x, NoiseBundle(1, (1,)), dW=np.zeros((g.n_steps, 1)))
-        assert np.allclose(obs.dZ, 3.0 * g.dt)
+        assert np.allclose(obs, 3.0 * g.dt)
 
     def test_increment_variance_is_dt(self, scalar_model):
         g = TimeGrid(T=1000.0, dt=0.01)
         b = NoiseBundle(11, (0,))
         x = simulate_truth(scalar_model, g, b.child(0))
         obs = simulate_observations(scalar_model, g, x, b.child(1))
-        resid = obs.dZ[:, 0] - x[:-1, 0] * g.dt
+        resid = obs[:, 0] - x[:-1, 0] * g.dt
         assert np.var(resid) == pytest.approx(0.01, rel=0.01)
 
     def test_disjoint_increments_uncorrelated_given_truth(self, scalar_model):
@@ -265,7 +266,7 @@ class TestSimulateObservations:
         r0, r1 = [], []
         for trial in range(2000):
             obs = simulate_observations(scalar_model, g, truth, NoiseBundle(9, (1, trial)))
-            resid = obs.dZ[:, 0] - truth[:-1, 0] * g.dt
+            resid = obs[:, 0] - truth[:-1, 0] * g.dt
             r0.append(resid[0])
             r1.append(resid[1])
         corr = np.corrcoef(r0, r1)[0, 1]

@@ -18,11 +18,19 @@ from enkbf_lab.riccati import (
     solve_are,
     spectral_norm,
     sqrt_ricc,
-    transition_phi,
-    transition_psi,
     transition_segments,
 )
 from enkbf_lab.linmodel import AssumptionError
+
+
+def transition_phi(s, t, path, params, grid):
+    """Phi_{t,s} of dPhi/dt = (A - Sigma_t H^T H) Phi, one segment."""
+    return transition_segments(1.0, [grid.index_of(s), grid.index_of(t)], path, params, grid)[0]
+
+
+def transition_psi(s, t, path, params, grid):
+    """Psi_{t,s} of dPsi/dt = (A - Q_t H^T H / 2) Psi, one segment."""
+    return transition_segments(0.5, [grid.index_of(s), grid.index_of(t)], path, params, grid)[0]
 
 SQRT2 = math.sqrt(2.0)
 SIGMA_INF_SCALAR = SQRT2 - 1.0  # positive root of -S^2 - 2S + 1 = 0
