@@ -167,26 +167,29 @@ def init_ensemble(
     return Ensemble(t=t0, states=prior_states(params, z), variant=variant)
 
 
-def particle_normals(noise: NoiseBundle, N: int, purpose: int, shape, batch=()) -> np.ndarray:
+def particle_normals(noise: NoiseBundle, N: int, purpose: int, shape, batch=(),
+                     time_major=False) -> np.ndarray:
     """Standard normals of sub-stream ``purpose`` of N particles, shape
-    S + (N,) + shape.
+    S + (N,) + shape, or with ``time_major`` (shape[0],) + S + (N,) +
+    shape[1:] (see :meth:`NoiseBundle.child_normals`).
 
     Particle i draws from ``noise.child(*batch, i, purpose)``.  ``batch``
     holds leading stream-id components; those that are integer arrays
     broadcast to S, which steps many trials' particles together."""
     batch = tuple(c[..., None] if isinstance(c, np.ndarray) else c for c in batch)
-    return noise.child_normals(*batch, np.arange(N), purpose, shape=shape)
+    return noise.child_normals(*batch, np.arange(N), purpose, shape=shape,
+                               time_major=time_major)
 
 
 def particle_increments(
     noise: NoiseBundle, N: int, grid: TimeGrid, dim: int, purpose: int, batch=()
 ) -> np.ndarray:
     """Wiener increments N(0, dt I) of N particles over ``grid``, time
-    first: shape (n_steps,) + S + (N, dim); streams as in
+    first and contiguous: shape (n_steps,) + S + (N, dim); streams as in
     :func:`particle_normals`."""
-    out = particle_normals(noise, N, purpose, (grid.n_steps, dim), batch)
+    out = particle_normals(noise, N, purpose, (grid.n_steps, dim), batch, time_major=True)
     out *= np.sqrt(grid.dt)
-    return np.moveaxis(out, -2, 0)
+    return out
 
 
 def particle_process_noise(

@@ -15,6 +15,7 @@ import math
 import numbers
 import os
 import platform
+import shutil
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -120,10 +121,27 @@ SLOPE_BAND = (-1.3, -0.7)
 R2_MIN = 0.9
 # Mean squared errors at or below this (RMS 1e-12) are roundoff, not error.
 _ROUNDOFF_MSE = 1e-24
+# Increments one rate block may draw (12 MiB), unless one trial at the
+# largest N takes more; see _blocks.
+_BLOCK_NOISE_BYTES = 12_582_912
 
 
 class OutputDirConflict(RuntimeError):
     """Refusing to overwrite a result directory produced by another config."""
+
+
+def _integer(name: str, v) -> int:
+    """``v`` as an int; a bool or a non-integer number is refused by name."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    return int(v)
+
+
+def _real(name: str, v) -> float:
+    """``v`` as a float; a bool or a non-number is refused by name."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {v!r}")
+    return float(v)
 
 
 @dataclass(frozen=True)
@@ -141,6 +159,8 @@ class AltInit:
     def __post_init__(self):
         if self.family not in INIT_FAMILIES:
             raise ValueError(f"unknown init family {self.family!r}")
+        for name in ("mean", "var"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if self.var < 0.0:
             raise ValueError("var must be non-negative")
 
@@ -180,8 +200,11 @@ class ExperimentConfig:
         if sorted(set(N_list)) != sorted(N_list):
             raise ValueError("N_list must not contain duplicates")
         object.__setattr__(self, "N_list", tuple(sorted(N_list)))
-        object.__setattr__(self, "checkpoints", tuple(float(t) for t in self.checkpoints))
-        object.__setattr__(self, "w2_fit_window", tuple(float(t) for t in self.w2_fit_window))
+        for name in ("checkpoints", "w2_fit_window"):
+            object.__setattr__(self, name, tuple(_real(f"{name} entry", t)
+                                                 for t in getattr(self, name)))
+        for name in ("compare_stride_t", "psi_dt"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if self.n_trials < 1:
             raise ValueError("n_trials must be positive")
         if self.p < 1:
@@ -252,13 +275,6 @@ class ExperimentConfig:
 _RUNTIME_FIELDS = ("output_dir", "workers")
 _INT_FIELDS = ("n_trials", "p", "master_seed", "n_copies", "record_every",
                "psi_grid_points", "dt_bias_trials", "workers")
-
-
-def _integer(name: str, v) -> int:
-    """``v`` as an int; a bool or a non-integer number is refused by name."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {v!r}")
-    return int(v)
 
 
 _DECODERS = {
@@ -398,6 +414,12 @@ def _mean_err(m: np.ndarray, m_ref: np.ndarray) -> float:
 def _pair_sum(fine: np.ndarray) -> np.ndarray:
     """Aggregate increments on a half-step grid (time axis 0) to the parent grid."""
     return fine[0::2] + fine[1::2]
+
+
+def _pair_sums(fine: np.ndarray):
+    """The rows of :func:`_pair_sum`, one step at a time, with the same
+    bits and without a second copy of the increments."""
+    return (fine[k] + fine[k + 1] for k in range(0, len(fine), 2))
 
 
 def _particle_draws(plan: dict, kind: str, N: int, trials: range, grid: TimeGrid) -> tuple:
@@ -547,8 +569,8 @@ def _bias_block(plan: dict, kind: str, N: int, trials: range) -> list:
     x0, dB_f, dW_f = _particle_draws(plan, kind, N, trials, fine)
     ckpt_c = plan["ckpt_idx"]
     legs = (
-        ("coarse", grid, obs_c, plan["cov_path"], _pair_sum(dB_f),
-         None if dW_f is None else _pair_sum(dW_f), ckpt_c),
+        ("coarse", grid, obs_c, plan["cov_path"], _pair_sums(dB_f),
+         None if dW_f is None else _pair_sums(dW_f), ckpt_c),
         ("fine", fine, obs_f, plan["cov_path_fine"], dB_f, dW_f, {2 * k for k in ckpt_c}),
     )
     rows = []
@@ -567,17 +589,27 @@ def _bias_block(plan: dict, kind: str, N: int, trials: range) -> list:
     return rows
 
 
-def _blocks(kind: str, N_list, n_trials: int, max_N: int) -> list:
+def _blocks(kind: str, N_list, n_trials: int, particle_bytes: int) -> list:
     """(kind, N, trials) blocks of a rate experiment, each N's trials cut in
-    order into ranges of B = max_N // N: the unit of stepping and of
-    dispatch.  A block holds B * N * n_steps * d_B process increments, at
-    most what one trial at the largest N needs, so it also costs at most
-    about one such trial."""
+    order into ranges of B trials: the unit of stepping and of dispatch.
+
+    ``particle_bytes`` is what one particle's increments take on the grid
+    its block steps.  A block holds B * N * particle_bytes of them, at most
+    max(one trial at the largest N, ``_BLOCK_NOISE_BYTES``): small N step
+    many trials per call, and a block never costs much more than either."""
+    cap = max(max(N_list) * particle_bytes, _BLOCK_NOISE_BYTES)
     blocks = []
     for N in N_list:
-        B = max(1, max_N // N)
+        B = max(1, cap // (N * particle_bytes))
         blocks += [(kind, N, range(lo, min(n_trials, lo + B))) for lo in range(0, n_trials, B)]
     return blocks
+
+
+def _particle_bytes(cfg: ExperimentConfig, n_steps: int) -> int:
+    """Bytes of one particle's increments over ``n_steps``: d_B process
+    columns, plus m perturbation columns when gamma2 > 0."""
+    cols = cfg.model.d_B + (cfg.model.m if cfg.variant.gamma2 > 0.0 else 0)
+    return 8 * n_steps * cols
 
 
 def _block_rows(plan: dict, block: tuple) -> list:
@@ -1024,7 +1056,8 @@ def _rate_experiment(cfg: ExperimentConfig, quantities, bound_p: int,
     }
     if bias_blocks:
         plan["cov_path_fine"] = integrate_dre(model.Sigma0, model, grid.refined())
-    blocks = _blocks(cfg.name, cfg.N_list, cfg.n_trials, max(cfg.N_list)) + list(bias_blocks)
+    blocks = (_blocks(cfg.name, cfg.N_list, cfg.n_trials, _particle_bytes(cfg, grid.n_steps))
+              + list(bias_blocks))
     rows = _run_trials(plan, blocks, cfg.workers)
 
     curves, fits = [], []
@@ -1043,7 +1076,8 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     """Finite-N moment-error rates against the exact filter."""
     t_start = time.perf_counter()
     N_max = max(cfg.N_list)
-    bias_blocks = (_blocks("convergence_bias", (N_max,), cfg.dt_bias_trials, N_max)
+    bias_blocks = (_blocks("convergence_bias", (N_max,), cfg.dt_bias_trials,
+                           _particle_bytes(cfg, 2 * cfg.grid.n_steps))
                    if cfg.dt_bias_check else [])
     res, bounds = _rate_experiment(cfg, ("cov_err_2p", "mean_err"), cfg.p, bias_blocks)
     rows, curves, assertions = res.rows, res.curves, res.assertions
@@ -1185,8 +1219,24 @@ def _jsonable(obj):
     return obj
 
 
+_RESULT_FILES = ("trials.csv", "curves.csv", "fits.csv", "constants.txt", "config_echo.json")
+
+
 def _check_output_dir(cfg: ExperimentConfig, out_dir, force: bool) -> None:
-    echo_path = Path(out_dir) / "config_echo.json"
+    """Refuse a result directory that a run may not replace: one holding
+    anything but result files, or the results of another config hash
+    unless ``force``."""
+    out = Path(out_dir)
+    if not out.exists():
+        return
+    if not out.is_dir():
+        raise OutputDirConflict(f"{out_dir} is not a directory")
+    foreign = sorted(p.name for p in out.iterdir() if p.name not in _RESULT_FILES)
+    if foreign:
+        raise OutputDirConflict(
+            f"{out_dir} holds {foreign}, which are not result files; refusing to replace it"
+        )
+    echo_path = out / "config_echo.json"
     if not echo_path.exists():
         return
     try:
@@ -1201,17 +1251,8 @@ def _check_output_dir(cfg: ExperimentConfig, out_dir, force: bool) -> None:
         )
 
 
-def write_result(result: ExperimentResult, out_dir, force: bool = False) -> Path:
-    """Emit trials.csv, curves.csv, fits.csv, constants.txt, config_echo.json.
-
-    Refuses to write into a directory holding results for a different
-    config hash unless forced."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _check_output_dir(result.config, out, force)
+def _write_files(result: ExperimentResult, out: Path) -> None:
     new_hash = config_hash(result.config)
-    echo_path = out / "config_echo.json"
-
     stamp = f"# config_hash={new_hash}\n"
     tables = {
         "trials.csv": ("N,trial,t,quantity,value", (
@@ -1243,7 +1284,36 @@ def write_result(result: ExperimentResult, out_dir, force: bool = False) -> Path
         ],
         "passed": result.passed,
     })
-    echo_path.write_text(json.dumps(echo, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    (out / "config_echo.json").write_text(
+        json.dumps(echo, indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+
+def write_result(result: ExperimentResult, out_dir, force: bool = False) -> Path:
+    """Emit trials.csv, curves.csv, fits.csv, constants.txt and
+    config_echo.json into ``out_dir``; returns its resolved path.
+
+    The files are written into a new sibling directory, which then takes
+    the place of ``out_dir``: a failure part way leaves the old directory
+    whole, and no directory holds the files of two configs.  The refusals
+    are those of :func:`_check_output_dir`."""
+    out = Path(out_dir).resolve()
+    _check_output_dir(result.config, out, force)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    tag = f"{os.getpid()}-{os.urandom(4).hex()}"
+    new = out.with_name(f".{out.name}.new-{tag}")
+    new.mkdir()
+    try:
+        _write_files(result, new)
+    except BaseException:
+        shutil.rmtree(new, ignore_errors=True)
+        raise
+    if out.exists():
+        old = out.with_name(f".{out.name}.old-{tag}")
+        out.rename(old)
+        new.rename(out)
+        shutil.rmtree(old)
+    else:
+        new.rename(out)
     return out
 
 

@@ -339,6 +339,27 @@ def philox_keys(seed: int, spawn_key) -> np.ndarray:
     return keys.reshape(shape + (2,))
 
 
+# Bytes of the stream-major buffer that time-major draws are staged in.
+_STAGE_BYTES = 262_144
+
+
+def _philox_normals(keys: list, rows: np.ndarray) -> None:
+    """Fill row s of ``rows`` with the first standard normals of the Philox
+    stream keyed by ``keys[s]`` (a pair of ints), at counter 0.
+
+    One generator is re-keyed per stream through a state of plain ints,
+    which numpy sets faster than the arrays its ``state`` getter returns."""
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    inner = state["state"]
+    for key, row in zip(keys, rows):
+        inner["key"] = key
+        bitgen.state = state
+        gen.standard_normal(out=row)
+
+
 def _as_stream(stream_id) -> tuple:
     if isinstance(stream_id, (int, np.integer)):
         stream = (int(stream_id),)
@@ -379,7 +400,7 @@ class NoiseBundle:
     def normals(self, shape) -> np.ndarray:
         return self.generator().standard_normal(shape)
 
-    def child_normals(self, *ids, shape=()) -> np.ndarray:
+    def child_normals(self, *ids, shape=(), time_major=False) -> np.ndarray:
         """Draws of many child streams at once, shape S + ``shape``.
 
         Each of ``ids`` is an int or an integer array; the arrays broadcast
@@ -387,19 +408,32 @@ class NoiseBundle:
         for bit, where ids_j takes entry j of every array.  The keys come
         from :func:`philox_keys` and one Philox generator is re-keyed per
         stream, so no per-stream seed sequence or generator is built.
+
+        ``time_major`` puts the first axis of ``shape`` in front: the
+        result has shape (shape[0],) + S + shape[1:], contiguous, and entry
+        [k, j] is draw k of stream j.  Streams are drawn a few at a time
+        into a small stream-major buffer and copied transposed, so each
+        time slice is one contiguous block.
         """
         shape = (int(shape),) if np.ndim(shape) == 0 else tuple(int(n) for n in shape)
         keys = philox_keys(self.seed, self.stream_id + ids)
-        out = np.empty(keys.shape[:-1] + shape)
-        keys = keys.reshape(-1, 2)
-        flat = out.reshape(len(keys), math.prod(shape))
-        bitgen = np.random.Philox(0)
-        gen = np.random.Generator(bitgen)
-        state = bitgen.state  # counter 0, empty buffer
-        for s, key in enumerate(keys):
-            state["state"]["key"] = key
-            bitgen.state = state
-            gen.standard_normal(out=flat[s])
+        S = keys.shape[:-1]
+        keys = keys.reshape(-1, 2).tolist()
+        size = math.prod(shape)
+        if not time_major:
+            out = np.empty(S + shape)
+            _philox_normals(keys, out.reshape(len(keys), size))
+            return out
+        n, rest = shape[0], math.prod(shape[1:])
+        out = np.empty((n,) + S + shape[1:])
+        by_time = out.reshape(n, len(keys), rest)
+        chunk = max(1, _STAGE_BYTES // max(8 * size, 1))
+        stage = np.empty((min(chunk, len(keys)), size))
+        for lo in range(0, len(keys), chunk):
+            part = keys[lo:lo + chunk]
+            rows = stage[:len(part)]
+            _philox_normals(part, rows)
+            by_time[:, lo:lo + len(part)] = rows.reshape(len(part), n, rest).swapaxes(0, 1)
         return out
 
     def brownian(self, n_steps: int, dim: int, dt: float) -> np.ndarray:

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import platform
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -102,10 +103,16 @@ class TestConfig:
         ("workers", 2.5), ("n_copies", 1000.7), ("record_every", 2.5), ("n_trials", 30.0),
         ("dt_bias_trials", False), ("psi_grid_points", 20.0), ("N_list", (25, 50.5)),
         ("N_list", (25, True)), ("dt_bias_check", "no"), ("dt_bias_check", 1),
+        ("compare_stride_t", True), ("compare_stride_t", "0.05"), ("psi_dt", "0.001"),
+        ("checkpoints", ("0.5",)), ("checkpoints", (True,)), ("w2_fit_window", ("0.5", 5.0)),
+        ("w2_fit_window", (0.5, True)), ("mean", "5"), ("mean", True), ("var", "3"),
     ])
     def test_bad_field_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=field):
-            tiny_convergence_cfg(**{field: value})
+            if field in ("mean", "var"):  # AltInit's fields
+                AltInit(**{field: value})
+            else:
+                tiny_convergence_cfg(**{field: value})
 
 
 _CODEC_MODELS = (
@@ -414,6 +421,31 @@ class TestConvergenceSmall:
         echo = json.loads((out / "config_echo.json").read_text())
         assert echo["config_hash"] == config_hash(cfg2)
 
+    def test_failed_write_leaves_old_dir_whole(self, small_result, tmp_path, monkeypatch):
+        res, _ = small_result
+        out = tmp_path / "atomic"
+        write_result(res, out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        other = dataclasses.replace(res, config=tiny_convergence_cfg(master_seed=4242),
+                                    rows=res.rows[:10])
+
+        def disk_full(obj):
+            raise OSError("disk full")
+
+        # after the tables and constants.txt, before config_echo.json
+        monkeypatch.setattr(harness, "_jsonable", disk_full)
+        with pytest.raises(OSError, match="disk full"):
+            write_result(other, out, force=True)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert [p.name for p in tmp_path.iterdir()] == ["atomic"]  # no partial sibling left
+
+    def test_refuses_dir_holding_other_files(self, small_result, tmp_path):
+        res, _ = small_result
+        (tmp_path / "notes.txt").write_text("mine")
+        with pytest.raises(OutputDirConflict, match="notes.txt"):
+            write_result(res, tmp_path, force=True)
+        assert [p.name for p in tmp_path.iterdir()] == ["notes.txt"]
+
     def test_refuses_vector_model(self, diag_model):
         cfg = default_config(
             "convergence", model=diag_model, grid=TimeGrid(T=0.5, dt=2e-3),
@@ -558,7 +590,7 @@ class TestNonFiniteStates:
             return dB
 
         monkeypatch.setattr(harness, "particle_increments", poisoned)
-        # N = 25 steps trials (0, 1) as its first block; first checkpoint t = 0.25
+        # the first block at N = 25 starts at trial 0; first checkpoint t = 0.25
         with pytest.raises(FloatingPointError,
                            match=r"^convergence: non-finite state at N=25, trial 1, step 125$"):
             run_experiment(tiny_convergence_cfg())
@@ -620,7 +652,8 @@ def test_pool_size_clamped_to_jobs_and_cpus(monkeypatch, workers, cpus, expected
     monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
-    # 30 trials at one N, so 30 blocks of one trial
+    monkeypatch.setattr(harness, "_BLOCK_NOISE_BYTES", 0)
+    # 30 trials at one N and no byte budget, so 30 blocks of one trial
     small = dict(N_list=(25,), checkpoints=(0.5,), grid=TimeGrid(T=0.5, dt=5e-2))
     cfg = tiny_convergence_cfg(workers=workers, **small)
     serial = tiny_convergence_cfg(**small)
@@ -634,17 +667,34 @@ def test_pool_size_clamped_to_jobs_and_cpus(monkeypatch, workers, cpus, expected
                     unique=True).map(sorted),
     n_trials=st.integers(min_value=1, max_value=300),
     kind=st.sampled_from(["convergence", "chaos", "convergence_bias"]),
+    particle_bytes=st.integers(min_value=8, max_value=10**6),
+    budget=st.sampled_from([0, 10**5, harness._BLOCK_NOISE_BYTES]),
 )
 @settings(max_examples=200, deadline=None)
-def test_blocks_cover_each_n_once_in_order(N_list, n_trials, kind):
-    max_N = max(N_list)
-    blocks = harness._blocks(kind, N_list, n_trials, max_N)
+def test_blocks_cover_each_n_once_in_order(N_list, n_trials, kind, particle_bytes, budget):
+    with mock.patch.object(harness, "_BLOCK_NOISE_BYTES", budget):
+        blocks = harness._blocks(kind, N_list, n_trials, particle_bytes)
     assert all(k == kind for k, _, _ in blocks)
     for N in N_list:
         trials = [i for _, n, r in blocks if n == N for i in r]
         assert trials == list(range(n_trials))
     assert [N for _, N, _ in blocks] == sorted(N for _, N, _ in blocks)
-    assert all(len(r) >= 1 and len(r) * N <= max_N for _, N, r in blocks)
+    cap = max(budget, max(N_list) * particle_bytes)
+    assert all(len(r) >= 1 and len(r) * N * particle_bytes <= cap for _, N, r in blocks)
+
+
+@pytest.mark.parametrize("name", ["convergence", "chaos"])
+def test_acceptance_blocks_keep_max_n_over_n_trials(name):
+    # one trial at N = 800 outgrows the byte budget at acceptance scale
+    # (32 MB for convergence, 12.8 MB for chaos), so the blocks are those of
+    # the trial rule B = max(N_list) // N, and the dt-bias pair's one trial
+    cfg = default_config(name)
+    n_steps, max_N = cfg.grid.n_steps, max(cfg.N_list)
+    blocks = harness._blocks(name, cfg.N_list, cfg.n_trials, harness._particle_bytes(cfg, n_steps))
+    assert all(len(r) == min(max_N // N, cfg.n_trials - r.start) for _, N, r in blocks)
+    bias = harness._blocks("convergence_bias", (max_N,), cfg.dt_bias_trials,
+                           harness._particle_bytes(cfg, 2 * n_steps))
+    assert all(len(r) == 1 for _, _, r in bias)
 
 
 def test_blocks_do_not_depend_on_workers(monkeypatch):
@@ -660,14 +710,19 @@ def test_blocks_do_not_depend_on_workers(monkeypatch):
     monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
+    # no byte budget: blocks of max(N_list) // N trials, so several per N
+    monkeypatch.setattr(harness, "_BLOCK_NOISE_BYTES", 0)
     small = dict(N_list=(10, 25), n_trials=30, checkpoints=(0.5,),
                  grid=TimeGrid(T=0.5, dt=5e-2), dt_bias_check=True, dt_bias_trials=3)
     rows = {}
     for workers in (1, 2, 8):
         seen.clear()
-        rows[workers] = harness.run_convergence(tiny_convergence_cfg(workers=workers, **small)).rows
-        assert seen == (harness._blocks("convergence", (10, 25), 30, 25)
-                        + harness._blocks("convergence_bias", (25,), 3, 25))
+        cfg = tiny_convergence_cfg(workers=workers, **small)
+        rows[workers] = harness.run_convergence(cfg).rows
+        bytes_c, bytes_f = harness._particle_bytes(cfg, 10), harness._particle_bytes(cfg, 20)
+        assert seen == (harness._blocks("convergence", (10, 25), 30, bytes_c)
+                        + harness._blocks("convergence_bias", (25,), 3, bytes_f))
+        assert len(seen) == 15 + 30 + 3  # N = 10 two trials a block, the rest one
     assert rows[1] == rows[2] == rows[8]
     assert _RecordingPool.sizes == [2, 8]
 
@@ -831,3 +886,27 @@ def test_trials_csv_matches_golden_hash(case, tmp_path):
     cfg = default_config(over.pop("name"), output_dir=str(tmp_path), **common, **over)
     run_experiment(cfg)
     assert hashlib.sha256((tmp_path / "trials.csv").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("case", ["chaos", "convergence_dt_bias", "convergence_perturbed_dB2"])
+def test_block_budget_does_not_change_bytes(case, tmp_path, monkeypatch):
+    # the golden runs step one block per N; with no byte budget every block
+    # holds max(N_list) // N trials, and the bytes must not change
+    over, digest = _GOLDEN[case]
+    over = dict(over)
+    splits = []
+    real = harness._run_trials
+
+    def recording(plan, blocks, workers):
+        splits.append(len(blocks))
+        return real(plan, blocks, workers)
+
+    monkeypatch.setattr(harness, "_run_trials", recording)
+    for budget in (harness._BLOCK_NOISE_BYTES, 0):
+        monkeypatch.setattr(harness, "_BLOCK_NOISE_BYTES", budget)
+        out = tmp_path / f"budget{budget}"
+        cfg = default_config(over["name"], output_dir=str(out), **_GOLDEN_COMMON,
+                             **{k: v for k, v in over.items() if k != "name"})
+        run_experiment(cfg)
+        assert hashlib.sha256((out / "trials.csv").read_bytes()).hexdigest() == digest
+    assert splits[0] < splits[1]

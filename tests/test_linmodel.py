@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enkbf_lab import linmodel
 from enkbf_lab.linmodel import (
     ModelParams,
     NoiseBundle,
@@ -163,6 +165,27 @@ class TestNoiseBundle:
                           for i in range(particles)] for t in range(trials)])
         assert got.shape == want.shape
         assert np.array_equal(got, want)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**64),
+        trials=st.integers(min_value=1, max_value=3),
+        particles=st.integers(min_value=1, max_value=5),
+        shape=st.sampled_from([(3,), (7, 1), (4, 2), (0, 2)]),
+        staged=st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_time_major_draws_equal_per_stream_draws(self, seed, trials, particles, shape,
+                                                     staged):
+        # a staging buffer of `staged` streams, so the draws cross its chunks
+        b = NoiseBundle(seed, (3,))
+        with mock.patch.object(linmodel, "_STAGE_BYTES", 8 * staged * math.prod(shape)):
+            got = b.child_normals(np.arange(trials)[:, None], 2, np.arange(particles),
+                                  shape=shape, time_major=True)
+        want = np.array([[b.child(t, 2, i).generator().standard_normal(shape)
+                          for i in range(particles)] for t in range(trials)])
+        assert got.flags.c_contiguous
+        assert got.shape == (shape[0], trials, particles) + shape[1:]
+        assert np.array_equal(got, np.moveaxis(want, 2, 0))
 
     def test_batched_draws_reject_bad_ids(self):
         b = NoiseBundle(3, (1,))
