@@ -248,6 +248,11 @@ def _check_invertible(cov: np.ndarray) -> None:
         )
 
 
+def _rows(v, N):
+    """Vectors ``v`` (..., k) repeated into contiguous (..., N, k) rows."""
+    return v[..., None, :].repeat(N, axis=-2)
+
+
 def _weighted_sum(mean, x, g2):
     """(1 - g2^2) mean + (1 + g2^2) x; both weights are 1 when g2 = 0, so
     the sum is then taken without them, to the same bits."""
@@ -320,22 +325,26 @@ def particle_step(
         innov *= s_val * h
         new += innov
         return out
-    mean = mean[..., None, :]
-    new = np.matmul(x, params.A.T, out=out)
+    # numpy's fast paths want C-contiguous right operands of matmul and
+    # operands of the same shape, not a length-d inner broadcast; both
+    # only change the layout, so the bits stay those of the plain formula
+    N = x.shape[-2]
+    mean = _rows(mean, N)
+    new = np.matmul(x, np.ascontiguousarray(params.A.T), out=out)
     new *= dt
     new += x
     if dB is not None and g1 > 0.0:
-        noise = dB @ params.sigma_B.T
+        noise = dB @ np.ascontiguousarray(params.sigma_B.T)
         new += noise if g1 == 1.0 else g1 * noise
     if g1 < 1.0:
         G = 0.5 * (1.0 - g1 * g1) * (params.Sigma_B @ np.linalg.inv(cov))
-        new += ((x - mean) @ np.swapaxes(G, -1, -2)) * dt
-    innov = (0.5 * _weighted_sum(mean, x, g2)) @ params.H.T
+        new += ((x - mean) @ np.ascontiguousarray(np.swapaxes(G, -1, -2))) * dt
+    innov = (0.5 * _weighted_sum(mean, x, g2)) @ np.ascontiguousarray(params.H.T)
     innov *= dt
-    np.subtract(dZ[..., None, :], innov, out=innov)
+    np.subtract(_rows(dZ, N), innov, out=innov)
     if g2 > 0.0:
         innov += g2 * dW
-    new += innov @ np.swapaxes(cov @ params.H.T, -1, -2)
+    new += innov @ np.ascontiguousarray(np.swapaxes(cov @ params.H.T, -1, -2))
     return new
 
 

@@ -643,17 +643,29 @@ def _run_trials(plan: dict, blocks: list, workers: int) -> list:
 # experiments
 
 
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _environment() -> dict:
+    """Versions, CPUs, numpy's BLAS and the thread variables as set (None
+    when unset), read at run time."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "cpu_count": os.cpu_count(),
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads": {v: os.environ.get(v) for v in _THREAD_VARS},
+    }
+
+
 def _base_metadata(cfg: ExperimentConfig, consts: StabilityConstants | None) -> dict:
     md = {
         "code_version": __version__,
         "config_hash": config_hash(cfg),
         "workers": cfg.workers,
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "cpu_count": os.cpu_count(),
-        },
+        "environment": _environment(),
     }
     if consts is not None:
         for k in ("m1_hat", "lambda_fit", "lambda0", "beta", "alpha"):

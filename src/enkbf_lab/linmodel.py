@@ -343,14 +343,14 @@ def philox_keys(seed: int, spawn_key) -> np.ndarray:
 _STAGE_BYTES = 262_144
 
 
-def _philox_normals(keys: list, rows: np.ndarray) -> None:
+def _philox_normals(gen: np.random.Generator, keys: list, rows: np.ndarray) -> None:
     """Fill row s of ``rows`` with the first standard normals of the Philox
     stream keyed by ``keys[s]`` (a pair of ints), at counter 0.
 
-    One generator is re-keyed per stream through a state of plain ints,
-    which numpy sets faster than the arrays its ``state`` getter returns."""
-    bitgen = np.random.Philox(0)
-    gen = np.random.Generator(bitgen)
+    ``gen``, a generator over a Philox bit generator, is re-keyed per stream
+    through a state of plain ints, which numpy sets faster than the arrays
+    its ``state`` getter returns."""
+    bitgen = gen.bit_generator
     state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     inner = state["state"]
@@ -420,9 +420,10 @@ class NoiseBundle:
         S = keys.shape[:-1]
         keys = keys.reshape(-1, 2).tolist()
         size = math.prod(shape)
+        gen = np.random.Generator(np.random.Philox(0))
         if not time_major:
             out = np.empty(S + shape)
-            _philox_normals(keys, out.reshape(len(keys), size))
+            _philox_normals(gen, keys, out.reshape(len(keys), size))
             return out
         n, rest = shape[0], math.prod(shape[1:])
         out = np.empty((n,) + S + shape[1:])
@@ -432,7 +433,7 @@ class NoiseBundle:
         for lo in range(0, len(keys), chunk):
             part = keys[lo:lo + chunk]
             rows = stage[:len(part)]
-            _philox_normals(part, rows)
+            _philox_normals(gen, part, rows)
             by_time[:, lo:lo + len(part)] = rows.reshape(len(part), n, rest).swapaxes(0, 1)
         return out
 

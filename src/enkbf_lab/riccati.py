@@ -63,6 +63,10 @@ class PathCoverageError(RiccatiError):
     """The supplied covariance path does not cover the requested [s, t]."""
 
 
+# Matrix RK4 steps per batched PSD check (one eigvalsh call per chunk).
+_PSD_CHUNK = 256
+
+
 def spectral_norm(M: np.ndarray) -> float:
     return float(np.linalg.norm(np.atleast_2d(M), 2))
 
@@ -96,6 +100,10 @@ def integrate_dre(Sigma0: np.ndarray, params: ModelParams, grid: TimeGrid) -> np
     Returns the array of covariances, shape (n_steps + 1, d, d).  Every
     iterate is symmetrized; if an iterate develops an eigenvalue below
     -1e-10 * scale the step size is too large and the run is refused.
+    Iterates are checked ``_PSD_CHUNK`` steps at a time with one batched
+    ``eigvalsh``, so the first bad step is refused by number, as a check
+    after every step would; steps after it overflow silently.  An iterate
+    that is not finite is not checked.
     A 1x1 model steps on Python floats, with the operations of the matrix
     branch in the same order, so to the same bits.
     """
@@ -113,20 +121,40 @@ def integrate_dre(Sigma0: np.ndarray, params: ModelParams, grid: TimeGrid) -> np
             grid.n_steps,
         )
         return out
-    for k in range(grid.n_steps):
+    for lo in range(0, grid.n_steps, _PSD_CHUNK):
+        hi = min(lo + _PSD_CHUNK, grid.n_steps)
+        # a path that blows up after its bad step must be refused, not warned of
+        with np.errstate(over="ignore", invalid="ignore"):
+            _dre_steps(out, lo, hi, A, Sigma_B, HtH, dt)
+        block = out[lo + 1 : hi + 1]
+        finite = np.isfinite(block).all(axis=(-2, -1))
+        block = np.where(finite[:, None, None], block, 0.0)
+        w_min = np.linalg.eigvalsh(block).min(axis=-1)
+        bad = np.flatnonzero(w_min < -1e-10 * np.maximum(1.0, np.abs(block).max(axis=(-2, -1))))
+        stop = hi if bad.size == 0 else lo + 1 + int(bad[0])
+        if not finite[: stop - lo].all():
+            # the path left the finite numbers before any bad step: step
+            # again under the caller's floating-point settings, which warn
+            # as a step-by-step check would, to the same bits
+            _dre_steps(out, lo, stop, A, Sigma_B, HtH, dt)
+        if bad.size:
+            raise CovarianceStepError(
+                f"covariance lost PSD at step {stop} (min eig {float(w_min[bad[0]]):.3e}); "
+                f"dt={dt} is too large for this model"
+            )
+    return out
+
+
+def _dre_steps(out, lo, hi, A, Sigma_B, HtH, dt) -> None:
+    """RK4 iterates lo + 1 .. hi of the matrix DRE into ``out``, from out[lo]."""
+    Q = out[lo]
+    for k in range(lo, hi):
         k1 = _ricc(Q, A, Sigma_B, HtH)
         k2 = _ricc(Q + 0.5 * dt * k1, A, Sigma_B, HtH)
         k3 = _ricc(Q + 0.5 * dt * k2, A, Sigma_B, HtH)
         k4 = _ricc(Q + dt * k3, A, Sigma_B, HtH)
         Q = symmetrize(Q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        w_min = float(np.linalg.eigvalsh(Q).min())
-        if w_min < -1e-10 * max(1.0, float(np.abs(Q).max())):
-            raise CovarianceStepError(
-                f"covariance lost PSD at step {k + 1} (min eig {w_min:.3e}); "
-                f"dt={dt} is too large for this model"
-            )
         out[k + 1] = Q
-    return out
 
 
 def _integrate_dre_scalar(q: float, a: float, sb: float, h2: float, dt: float, n: int) -> list:

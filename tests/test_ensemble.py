@@ -90,6 +90,29 @@ def reference_copy_step(copies, kf_mean, kf_cov, dZ_k, dt, params, dB_k=None):
     return new + innov @ K.T
 
 
+def reference_vector_step(x, mean, cov, dZ, dt, params, variant, dB=None, dW=None):
+    """The d > 1 particle step written as the plain formula, with
+    transposed matmul operands and length-d broadcasts; ``particle_step``
+    must give its bits whatever layout it computes in."""
+    g1, g2 = variant.gamma1, variant.gamma2
+    mean = mean[..., None, :]
+    new = x + (x @ params.A.T) * dt
+    if dB is not None and g1 > 0.0:
+        noise = dB @ params.sigma_B.T
+        new += noise if g1 == 1.0 else g1 * noise
+    if g1 < 1.0:
+        G = 0.5 * (1.0 - g1 * g1) * (params.Sigma_B @ np.linalg.inv(cov))
+        new += ((x - mean) @ np.swapaxes(G, -1, -2)) * dt
+    if g2 == 0.0:
+        pred = mean + x
+    else:
+        pred = (1.0 - g2 * g2) * mean + (1.0 + g2 * g2) * x
+    innov = dZ[..., None, :] - ((0.5 * pred) @ params.H.T) * dt
+    if g2 > 0.0:
+        innov += g2 * dW
+    return new + innov @ np.swapaxes(cov @ params.H.T, -1, -2)
+
+
 class TestInitEnsemble:
     def test_degenerate_prior_collapses_to_mean(self):
         m = ModelParams.scalar(a=-1.0, h=1.0, sigma_b=1.0, m0=2.5, sigma0=0.0)
@@ -519,6 +542,48 @@ class TestBatchedKernel:
             assert np.array_equal(got[j], want)
             copy = mean_field_copy_step(x[j], kf_mean[j], kf_cov, dZ[j], dt, model, dB_k=dB[j])
             assert np.array_equal(copy, want)
+
+
+class TestCoupledVectorKernel:
+    """On coupled models every product in the d > 1 step rounds, so the
+    kernel's contiguous operands must give the plain formula's bits."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        d=st.sampled_from([2, 3]),
+        m=st.sampled_from([1, 2, 3]),
+        d_B=st.sampled_from([1, 2, 3]),
+        batch=st.lists(st.integers(min_value=1, max_value=3), max_size=2).map(tuple),
+        N=st.integers(min_value=5, max_value=40),
+        variant=st.sampled_from([STOCHASTIC_FPF, DETERMINISTIC_FPF, PERTURBED_OBSERVATION,
+                                 VariantParams(0.6, 0.3)]),
+        exact_moments=st.booleans(),
+        use_out=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_step_equals_plain_formula(self, seed, d, m, d_B, batch, N, variant,
+                                       exact_moments, use_out):
+        rng = np.random.default_rng(seed)
+        model = ModelParams(
+            A=rng.standard_normal((d, d)), H=rng.standard_normal((m, d)),
+            sigma_B=rng.standard_normal((d, d_B)), m0=np.zeros(d), Sigma0=np.eye(d),
+        )
+        dt = 1e-2
+        x = rng.standard_normal(batch + (N, d))
+        if exact_moments:
+            mean = rng.standard_normal(batch + (d,))
+            L = rng.standard_normal(batch + (d, d))
+            cov = L @ np.swapaxes(L, -1, -2) + np.eye(d)
+        else:
+            mean, cov = ensemble_moments(x)
+        dZ = rng.standard_normal(batch + (m,)) * math.sqrt(dt)
+        dB = rng.standard_normal(batch + (N, d_B)) * math.sqrt(dt)
+        dW = rng.standard_normal(batch + (N, m)) * math.sqrt(dt) if variant.gamma2 > 0 else None
+        want = reference_vector_step(x, mean, cov, dZ, dt, model, variant, dB=dB, dW=dW)
+        out = np.full_like(x, np.nan) if use_out else None
+        got = particle_step(x, mean, cov, dZ, dt, model, variant, dB=dB, dW=dW, out=out)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 class _MatrixBranch(ModelParams):

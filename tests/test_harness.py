@@ -393,13 +393,29 @@ class TestConvergenceSmall:
     def test_config_echo_records_environment(self, small_result):
         res, out = small_result
         echo = json.loads((out / "config_echo.json").read_text())
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert echo["metadata"]["environment"] == {
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "cpu_count": os.cpu_count(),
+            "blas": {"name": blas["name"], "version": blas["version"]},
+            "threads": {v: os.environ.get(v) for v in
+                        ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},
         }
         assert echo["config_hash"] == config_hash(res.config)
+
+    def test_environment_read_at_run_time_outside_the_hash(self, monkeypatch):
+        cfg = tiny_convergence_cfg()
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        md = harness._base_metadata(cfg, None)
+        assert md["environment"]["threads"]["OPENBLAS_NUM_THREADS"] == "3"
+        assert md["environment"]["threads"]["OMP_NUM_THREADS"] is None
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        again = harness._base_metadata(cfg, None)
+        assert again["environment"]["threads"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert again["config_hash"] == md["config_hash"] == config_hash(cfg)
 
     def test_worker_count_does_not_change_bytes(self, small_result, tmp_path):
         _, out1 = small_result

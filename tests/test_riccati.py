@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from enkbf_lab import riccati
@@ -31,6 +33,53 @@ def transition_phi(s, t, path, params, grid):
 def transition_psi(s, t, path, params, grid):
     """Psi_{t,s} of dPsi/dt = (A - Q_t H^T H / 2) Psi, one segment."""
     return transition_segments(0.5, [grid.index_of(s), grid.index_of(t)], path, params, grid)[0]
+
+def reference_integrate_dre(Sigma0, params, grid):
+    """The matrix RK4 of :func:`integrate_dre` with a PSD check after every
+    step: the oracle for the chunked check."""
+    A, Sigma_B, HtH = params.A, params.Sigma_B, params.H.T @ params.H
+    dt = grid.dt
+
+    def ricc(Q):
+        AQ = A @ Q
+        return AQ + AQ.T + Sigma_B - Q @ HtH @ Q
+
+    Q = 0.5 * (Sigma0 + Sigma0.T)
+    out = [Q]
+    for k in range(grid.n_steps):
+        k1 = ricc(Q)
+        k2 = ricc(Q + 0.5 * dt * k1)
+        k3 = ricc(Q + 0.5 * dt * k2)
+        k4 = ricc(Q + dt * k3)
+        Q = Q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        Q = 0.5 * (Q + Q.T)
+        w_min = float(np.linalg.eigvalsh(Q).min())
+        if w_min < -1e-10 * max(1.0, float(np.abs(Q).max())):
+            raise CovarianceStepError(
+                f"covariance lost PSD at step {k + 1} (min eig {w_min:.3e}); "
+                f"dt={dt} is too large for this model"
+            )
+        out.append(Q)
+    return np.array(out)
+
+
+def _dre_outcome(integrate, params, grid):
+    """The path, or the refusal or (warnings being errors) the overflow
+    warning it ends in."""
+    try:
+        return integrate(params.Sigma0, params, grid)
+    except (CovarianceStepError, RuntimeWarning) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# A coupled 2x2 model started 1 % off its steady state: at dt = 0.177 RK4
+# amplifies the offset a little per step until step 7 loses PSD.
+_S1 = (math.sqrt(101.0) - 1.0) / 100.0
+_LATE_LOSS = ModelParams(
+    A=[[-1.0, 0.5], [0.0, -2.0]], H=[[10.0, 0.0], [0.0, 1.0]],
+    sigma_B=[[1.0, 0.0], [0.3, 1.0]], m0=[0.0, 0.0], Sigma0=[[1.01 * _S1, 0.0], [0.0, 1.0]],
+)
+
 
 SQRT2 = math.sqrt(2.0)
 SIGMA_INF_SCALAR = SQRT2 - 1.0  # positive root of -S^2 - 2S + 1 = 0
@@ -123,6 +172,75 @@ class TestIntegrateDre:
         grid = TimeGrid(T=3.0, dt=1.0)
         with pytest.raises(CovarianceStepError, match="too large"):
             integrate_dre(np.array([[10.0]]), scalar_model, grid)
+
+    @pytest.mark.parametrize("chunk", [4, 6, 7, 256])
+    def test_chunked_check_refuses_at_the_step_of_a_per_step_check(self, chunk, monkeypatch):
+        # step 7 is mid-chunk for 4, the first step of a chunk for 6, the
+        # last for 7, and inside the first chunk by default
+        monkeypatch.setattr(riccati, "_PSD_CHUNK", chunk)
+        grid = TimeGrid(T=round(40 * 0.177, 9), dt=0.177)
+        want = _dre_outcome(reference_integrate_dre, _LATE_LOSS, grid)
+        assert want.startswith("CovarianceStepError: covariance lost PSD at step 7 ")
+        assert _dre_outcome(integrate_dre, _LATE_LOSS, grid) == want
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        d=st.sampled_from([2, 3]),
+        m=st.sampled_from([1, 2]),
+        dt=st.sampled_from([1e-3, 1e-2, 5e-2, 0.1]),
+        n_steps=st.integers(min_value=1, max_value=120),
+        chunk=st.sampled_from([1, 2, 5, 16, 256]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_chunked_check_equals_per_step_check(self, seed, d, m, dt, n_steps, chunk):
+        rng = np.random.default_rng(seed)
+        params = ModelParams(
+            A=rng.standard_normal((d, d)), H=rng.standard_normal((m, d)) * rng.choice([1, 5, 20]),
+            sigma_B=rng.standard_normal((d, d)), m0=np.zeros(d),
+            Sigma0=np.eye(d) * rng.uniform(0.1, 30.0),
+        )
+        grid = TimeGrid(T=n_steps * dt, dt=dt)
+        old = riccati._PSD_CHUNK
+        riccati._PSD_CHUNK = chunk
+        try:
+            got = _dre_outcome(integrate_dre, params, grid)
+        finally:
+            riccati._PSD_CHUNK = old
+        want = _dre_outcome(reference_integrate_dre, params, grid)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert not isinstance(got, str) and np.array_equal(got, want)
+
+    def test_overflow_after_the_bad_step_is_refused_not_warned(self):
+        # RuntimeWarnings are errors under this suite: the steps after the
+        # bad one overflow inside its chunk, and must stay silent
+        params = ModelParams(A=[[-1.0, 0.0], [0.0, -1.0]], H=[[10.0, 0.0], [0.0, 10.0]],
+                             sigma_B=np.eye(2), m0=[0.0, 0.0], Sigma0=[[1.0, 0.0], [0.0, 1.0]])
+        grid = TimeGrid(T=2.0, dt=0.02)
+        unchecked = np.empty((grid.n_steps + 1, 2, 2))
+        unchecked[0] = params.Sigma0
+        with np.errstate(over="ignore", invalid="ignore"):
+            riccati._dre_steps(unchecked, 0, grid.n_steps, params.A, params.Sigma_B,
+                               params.H.T @ params.H, grid.dt)
+        assert not np.isfinite(unchecked[: riccati._PSD_CHUNK + 1]).all()
+        want = _dre_outcome(reference_integrate_dre, params, grid)
+        assert want.startswith("CovarianceStepError: covariance lost PSD at step 1 ")
+        assert _dre_outcome(integrate_dre, params, grid) == want
+
+    def test_overflow_without_a_bad_step_warns_as_numpy_does(self):
+        # Q grows as exp(2000 t) and never loses PSD: the overflow is the
+        # caller's floating-point business, as with a check after every step
+        params = ModelParams(A=1000.0 * np.eye(2), H=np.zeros((1, 2)), sigma_B=np.eye(2),
+                             m0=[0.0, 0.0], Sigma0=np.eye(2))
+        grid = TimeGrid(T=1.0, dt=1e-3)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            integrate_dre(params.Sigma0, params, grid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = integrate_dre(params.Sigma0, params, grid)
+            want = reference_integrate_dre(params.Sigma0, params, grid)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert not np.isfinite(got[-1]).all()
 
     def test_envelope_from_fitted_constant(self, scalar_model, scalar_consts):
         # ||Sigma_t - Sigma_inf|| <= m1_hat exp(-2 lambda_fit t) on the fit grid
