@@ -2,6 +2,9 @@
 
 Subcommands: validate, exactness, stability, convergence, chaos, report.
 An experiment exits with status 0 iff all of its configured assertions pass.
+A refused flag value, config, model or result directory prints one line on
+stderr and exits with status 2; an error raised while an experiment runs
+keeps its traceback.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ import argparse
 import sys
 
 from .harness import (
+    ConfigRefused,
     ExperimentConfig,
     OutputDirConflict,
     default_config,
@@ -48,10 +52,9 @@ def _build_config(args, experiment: str) -> ExperimentConfig:
     if args.config:
         cfg = ExperimentConfig.from_file(args.config, **overrides)
         if cfg.name != experiment:
-            raise SystemExit(
-                f"config file is for experiment {cfg.name!r}, "
-                f"but the {experiment!r} subcommand was invoked"
-            )
+            print(f"config file is for experiment {cfg.name!r}, "
+                  f"but the {experiment!r} subcommand was invoked", file=sys.stderr)
+            raise SystemExit(2)
         return cfg
     return default_config(experiment, **overrides)
 
@@ -97,11 +100,14 @@ def main(argv=None) -> int:
         print("PASS" if summary["passed"] else "FAIL")
         return 0 if summary["passed"] else 1
 
-    experiment = _SUBCOMMAND_TO_EXPERIMENT[args.command]
-    cfg = _build_config(args, experiment)
+    try:
+        cfg = _build_config(args, _SUBCOMMAND_TO_EXPERIMENT[args.command])
+    except (ValueError, OSError) as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     try:
         result = run_experiment(cfg, force=args.force)
-    except OutputDirConflict as exc:
+    except (OutputDirConflict, ConfigRefused) as exc:
         print(str(exc), file=sys.stderr)
         return 2
     _print_result(result)

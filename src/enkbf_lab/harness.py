@@ -92,17 +92,13 @@ __all__ = [
     "AssertionOutcome",
     "ExperimentResult",
     "OutputDirConflict",
+    "ConfigRefused",
     "acceptance_model",
     "default_config",
     "diag2_model",
     "config_hash",
     "trial_bundle",
     "run_experiment",
-    "run_riccati_validation",
-    "run_exactness",
-    "run_stability",
-    "run_convergence",
-    "run_chaos",
     "write_result",
     "load_result_summary",
     "DEFAULT_SEED",
@@ -128,6 +124,12 @@ _BLOCK_NOISE_BYTES = 12_582_912
 
 class OutputDirConflict(RuntimeError):
     """Refusing to overwrite a result directory produced by another config."""
+
+
+class ConfigRefused(AssumptionError, ValueError):
+    """An experiment refuses its config or model before it runs; the
+    message names the field or the assumption.  It is both a ValueError
+    and an AssumptionError, so a handler of either catches it."""
 
 
 def _integer(name: str, v) -> int:
@@ -673,6 +675,50 @@ def _base_metadata(cfg: ExperimentConfig, consts: StabilityConstants | None) -> 
     return md
 
 
+# What each experiment refuses, checked by _constants before any record is
+# built: the model assumptions it needs, then rules (refused(cfg), reason)
+# with the reason formatted on ``cfg``.
+_SCALAR_RATES = (lambda cfg: cfg.model.d != 1 or cfg.model.m != 1,
+                 "the rate experiments need a scalar model, "
+                 "got d = {cfg.model.d}, m = {cfg.model.m}")
+_REFUSALS = {
+    "riccati_validation": (("a1", "a2"), ()),
+    "exactness": ((), (
+        (lambda cfg: cfg.init_family == "exponential" and cfg.model.d > 1,
+         "init_family 'exponential' is scalar only, got d = {cfg.model.d}"),
+    )),
+    "stability": (("a1", "a2"), (
+        (lambda cfg: cfg.alt_init.family == "exponential" and cfg.model.d > 1,
+         "alt_init.family 'exponential' is scalar only, got d = {cfg.model.d}"),
+    )),
+    "convergence": (("a3",), (_SCALAR_RATES,)),
+    "chaos": (("a3",), (
+        (lambda cfg: cfg.variant != STOCHASTIC_FPF,
+         "the coupled-copy construction is defined for the (1, 0) variant, got variant "
+         "({cfg.variant.gamma1:g}, {cfg.variant.gamma2:g})"),
+        (lambda cfg: cfg.dt_bias_check,
+         "dt_bias_check=True asks for the dt-bias pair, which only convergence runs"),
+        _SCALAR_RATES,
+    )),
+}
+
+
+def _constants(cfg: ExperimentConfig) -> StabilityConstants | None:
+    """The one gate of every experiment: raise :class:`ConfigRefused` on
+    the first refusal in ``_REFUSALS[cfg.name]``, else return the stability
+    constants when A1 and A2 hold, and None otherwise."""
+    needs, rules = _REFUSALS[cfg.name]
+    report = validate_assumptions(cfg.model)
+    failed = [a for a in needs if not getattr(report, a)]
+    reasons = [why.format(cfg=cfg) for refused, why in rules if refused(cfg)]
+    if failed:
+        reasons.append(f"required assumption(s) {failed} do not hold (A1 gives Sigma_inf, "
+                       "A2 the decay rate beta > 0, A3 the error bounds)")
+    if reasons:
+        raise ConfigRefused(f"{cfg.name} refused: {reasons[0]}")
+    return solve_are(cfg.model) if report.a1 and report.a2 else None
+
+
 def _snap_nodes(grid: TimeGrid, count: int) -> list:
     """Evenly spaced times snapped to grid nodes, unique and sorted."""
     raw = np.linspace(grid.t0, grid.T, count)
@@ -680,16 +726,10 @@ def _snap_nodes(grid: TimeGrid, count: int) -> list:
     return [grid.t0 + k * grid.dt for k in idx]
 
 
-def run_riccati_validation(cfg: ExperimentConfig) -> ExperimentResult:
+def _run_riccati_validation(cfg: ExperimentConfig, consts: StabilityConstants) -> ExperimentResult:
     """Cross-validate the DRE integrator against the closed-form solution,
     certify the ARE residual, and check the square-root flow envelope."""
-    t_start = time.perf_counter()
     model = cfg.model
-    try:
-        validate_assumptions(model).require("a1", "a2")
-    except AssumptionError as exc:
-        raise AssumptionError(f"{cfg.name} refused: {exc}") from exc
-    consts = solve_are(model)
     rows: list = []
     assertions: list = []
 
@@ -787,39 +827,28 @@ def run_riccati_validation(cfg: ExperimentConfig) -> ExperimentResult:
             phi_kappa[t0] = fit_envelope_constant(norms, gaps, lam)
     rows.sort(key=lambda r: r.sort_key())
 
-    md = _base_metadata(cfg, consts)
-    md["phi_kappa_by_t0"] = phi_kappa
-    md["psi_min_margin"] = min_margin
-    md["dre_max_rel_err"] = max_rel
-    md["dre_compare_s"] = dre_compare_s
-    md["psi_envelope_s"] = time.perf_counter() - t_psi
-    md["wall_time_s"] = time.perf_counter() - t_start
-    return ExperimentResult(
-        config=cfg, rows=rows, constants=consts, assertions=assertions, metadata=md
-    )
+    md = {
+        "phi_kappa_by_t0": phi_kappa,
+        "psi_min_margin": min_margin,
+        "dre_max_rel_err": max_rel,
+        "dre_compare_s": dre_compare_s,
+        "psi_envelope_s": time.perf_counter() - t_psi,
+    }
+    return ExperimentResult(config=cfg, rows=rows, assertions=assertions, metadata=md)
 
 
-def _init_copies(
-    model: ModelParams, M: int, family: str, mean, var, bundle: NoiseBundle
-) -> np.ndarray:
-    """Initial copy population; exponential draws are mean/variance matched
-    and share the Gaussian base draws (comonotone coupling)."""
-    d = model.d
-    mean_vec = np.full(d, float(mean)) if np.isscalar(mean) else np.asarray(mean, float)
-    Z = bundle.normals((M, d))
+def _init_copies(M: int, family: str, mean: np.ndarray, cov: np.ndarray,
+                 bundle: NoiseBundle) -> np.ndarray:
+    """M initial copies of law ``family`` with mean (d,) and covariance
+    (d, d).  Exponential draws (d = 1; the gate refuses d > 1) are
+    mean/variance matched and share the Gaussian base draws (comonotone
+    coupling)."""
+    Z = bundle.normals((M, len(mean)))
     if family == "gaussian":
-        if np.isscalar(var):
-            L = psd_sqrt(float(var) * np.eye(d))
-        else:
-            L = psd_sqrt(np.asarray(var, float))
-        return mean_vec + Z @ L.T
-    if family == "exponential":
-        if d != 1:
-            raise ValueError("exponential initial law is scalar only")
-        u = ndtr(Z[:, 0])
-        e = -np.log1p(-np.clip(u, 0.0, 1.0 - 1e-16))
-        return (mean_vec[0] + math.sqrt(float(var)) * (e - 1.0))[:, None]
-    raise ValueError(f"unknown init family {family!r}")
+        return mean + Z @ psd_sqrt(cov).T
+    u = ndtr(Z[:, 0])
+    e = -np.log1p(-np.clip(u, 0.0, 1.0 - 1e-16))
+    return (mean[0] + math.sqrt(cov[0, 0]) * (e - 1.0))[:, None]
 
 
 def _mean_field_record(cfg: ExperimentConfig) -> tuple:
@@ -844,23 +873,17 @@ def _mean_field_record(cfg: ExperimentConfig) -> tuple:
     return obs, fp, cb, dB()
 
 
-def run_exactness(cfg: ExperimentConfig) -> ExperimentResult:
+def _run_exactness(cfg: ExperimentConfig, consts: StabilityConstants | None) -> ExperimentResult:
     """Evolve a large population of independent mean-field copies on one
     observation record and compare its moments with the exact filter."""
-    t_start = time.perf_counter()
     model = cfg.model
     M = cfg.n_copies
     grid = cfg.grid
-    consts = _try_constants(model)
     obs, fp, cb, dB = _mean_field_record(cfg)
     dre_path = integrate_dre(model.Sigma0, model, grid)
     cov_bitwise = bool(np.array_equal(fp.covs, dre_path))
 
-    copies = _init_copies(
-        model, M, cfg.init_family, model.m0,
-        model.Sigma0 if cfg.init_family == "gaussian" else float(model.Sigma0[0, 0]),
-        cb.child(0),
-    )
+    copies = _init_copies(M, cfg.init_family, model.m0, model.Sigma0, cb.child(0))
     ckpt = {grid.index_of(t) for t in cfg.checkpoints}
     rows: list = []
     assertions: list = [
@@ -925,35 +948,24 @@ def run_exactness(cfg: ExperimentConfig) -> ExperimentResult:
                     f"skewness z-score {z_skew:.2f} at t={t:g} (limit 8)",
                 )
             )
-    md = _base_metadata(cfg, consts)
-    md["cov_path_bitwise"] = cov_bitwise
-    md["wall_time_s"] = time.perf_counter() - t_start
-    return ExperimentResult(
-        config=cfg, rows=rows, constants=consts, assertions=assertions, metadata=md
-    )
+    return ExperimentResult(config=cfg, rows=rows, assertions=assertions,
+                            metadata={"cov_path_bitwise": cov_bitwise})
 
 
-def run_stability(cfg: ExperimentConfig) -> ExperimentResult:
+def _run_stability(cfg: ExperimentConfig, consts: StabilityConstants) -> ExperimentResult:
     """Couple two mean-field populations started from different laws on one
     observation record and fit the decay of the Wasserstein gap."""
-    t_start = time.perf_counter()
     model = cfg.model
     M = cfg.n_copies
     grid = cfg.grid
-    consts = _try_constants(model)
-    if consts is None:
-        raise AssumptionError(
-            "stability experiment needs A1 and A2 to define the decay-rate "
-            "reference beta"
-        )
     alt = cfg.alt_init
     obs, fp_a, cb, dB = _mean_field_record(cfg)
-    fp_b = kb_filter(model, grid, obs, init=FilterState(
-        t=grid.t0, mean=np.full(model.d, alt.mean), cov=alt.var * np.eye(model.d)))
+    alt_mean, alt_cov = np.full(model.d, alt.mean), alt.var * np.eye(model.d)
+    fp_b = kb_filter(model, grid, obs, init=FilterState(t=grid.t0, mean=alt_mean, cov=alt_cov))
 
     # One stack: a, b from the alternative law on its own filter, and a twin of a.
-    pop_a = _init_copies(model, M, "gaussian", model.m0, model.Sigma0, cb.child(0))
-    pop_b = _init_copies(model, M, alt.family, alt.mean, alt.var, cb.child(0))
+    pop_a = _init_copies(M, "gaussian", model.m0, model.Sigma0, cb.child(0))
+    pop_b = _init_copies(M, alt.family, alt_mean, alt_cov, cb.child(0))
     pops = np.stack([pop_a, pop_b, pop_a])
     kf_means = np.stack([fp_a.means, fp_b.means, fp_a.means], axis=1)
     kf_covs = np.stack([fp_a.covs, fp_b.covs, fp_a.covs], axis=1)
@@ -979,7 +991,7 @@ def run_stability(cfg: ExperimentConfig) -> ExperimentResult:
             ts.append(r.t)
             vals.append(r.value)
     assertions: list = []
-    md = _base_metadata(cfg, consts)
+    md: dict = {}
     if len(ts) >= 3:
         slope, _, r2 = line_fit(ts, np.log(vals))
         rate = -slope
@@ -1009,28 +1021,7 @@ def run_stability(cfg: ExperimentConfig) -> ExperimentResult:
             f"identical-initialization W2 stays at {w2_identical_max:.3e} (limit 1e-8)",
         )
     )
-    md["wall_time_s"] = time.perf_counter() - t_start
-    return ExperimentResult(
-        config=cfg, rows=rows, constants=consts, assertions=assertions, metadata=md
-    )
-
-
-def _require_rate_preconditions(cfg: ExperimentConfig) -> None:
-    if cfg.model.d != 1 or cfg.model.m != 1:
-        raise ValueError(f"{cfg.name} rate experiment requires a scalar model")
-    report = validate_assumptions(cfg.model)
-    try:
-        report.require("a3")
-    except AssumptionError as exc:
-        raise AssumptionError(f"{cfg.name} refused: {exc}") from exc
-
-
-def _try_constants(model: ModelParams) -> StabilityConstants | None:
-    """Stability constants when the model admits them (A1 and A2 hold)."""
-    report = validate_assumptions(model)
-    if not (report.a1 and report.a2):
-        return None
-    return solve_are(model)
+    return ExperimentResult(config=cfg, rows=rows, assertions=assertions, metadata=md)
 
 
 def _slope_assertions(result_fits, assertions, label):
@@ -1047,16 +1038,14 @@ def _slope_assertions(result_fits, assertions, label):
         )
 
 
-def _rate_experiment(cfg: ExperimentConfig, quantities, bound_p: int,
-                     bias_blocks=()) -> tuple:
-    """What the rate experiments share: refuse unsupported models, take the
-    stability constants and the bounds of moment order ``bound_p``, step
-    the experiment's blocks and then ``bias_blocks`` on one plan, and fit
-    an error curve per quantity and checkpoint.  Returns the result, its
-    assertions still to add, and the bounds (None without constants)."""
-    _require_rate_preconditions(cfg)
+def _rate_experiment(cfg: ExperimentConfig, consts: StabilityConstants | None, quantities,
+                     bound_p: int, bias_blocks=()) -> tuple:
+    """What the rate experiments share: take the bounds of moment order
+    ``bound_p`` (None without constants), step the experiment's blocks and
+    then ``bias_blocks`` on one plan, and fit an error curve per quantity
+    and checkpoint.  Returns the result, its assertions still to add, and
+    the bounds."""
     model, grid = cfg.model, cfg.grid
-    consts = _try_constants(model)
     bounds = theoretical_bounds(model, consts, bound_p) if consts is not None else None
     plan = {
         "master_seed": cfg.master_seed,
@@ -1079,19 +1068,16 @@ def _rate_experiment(cfg: ExperimentConfig, quantities, bound_p: int,
             curves.extend((q, t, pt) for pt in curve)
             if len(curve) >= 3 and all(pt.estimate > 0.0 for pt in curve):
                 fits.append((q, t, rate_fit(curve)))
-    result = ExperimentResult(config=cfg, rows=rows, curves=curves, fits=fits,
-                              constants=consts, metadata=_base_metadata(cfg, consts))
-    return result, bounds
+    return ExperimentResult(config=cfg, rows=rows, curves=curves, fits=fits), bounds
 
 
-def run_convergence(cfg: ExperimentConfig) -> ExperimentResult:
+def _run_convergence(cfg: ExperimentConfig, consts: StabilityConstants | None) -> ExperimentResult:
     """Finite-N moment-error rates against the exact filter."""
-    t_start = time.perf_counter()
     N_max = max(cfg.N_list)
     bias_blocks = (_blocks("convergence_bias", (N_max,), cfg.dt_bias_trials,
                            _particle_bytes(cfg, 2 * cfg.grid.n_steps))
                    if cfg.dt_bias_check else [])
-    res, bounds = _rate_experiment(cfg, ("cov_err_2p", "mean_err"), cfg.p, bias_blocks)
+    res, bounds = _rate_experiment(cfg, consts, ("cov_err_2p", "mean_err"), cfg.p, bias_blocks)
     rows, curves, assertions = res.rows, res.curves, res.assertions
     _slope_assertions(res.fits, assertions, "convergence")
 
@@ -1172,42 +1158,46 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentResult:
             "C1": bounds.C1, "C2": bounds.C2, "C3": bounds.C3, "C4": bounds.C4,
             "mu_A": bounds.mu_A, "p": bounds.p,
         }
-    res.metadata["wall_time_s"] = time.perf_counter() - t_start
     return res
 
 
-def run_chaos(cfg: ExperimentConfig) -> ExperimentResult:
+def _run_chaos(cfg: ExperimentConfig, consts: StabilityConstants | None) -> ExperimentResult:
     """Propagation-of-chaos rates from the coupled particle/copy system."""
-    t_start = time.perf_counter()
-    if cfg.variant != STOCHASTIC_FPF:
-        raise ValueError(
-            "the coupled-copy construction is defined for the (1, 0) variant"
-        )
     quantities = ("particle_coupling", "function_mc")
     if cfg.model.d == 1:
         quantities += ("function_mc_abs",)
-    res, bounds = _rate_experiment(cfg, quantities, max(2, cfg.p))
+    res, bounds = _rate_experiment(cfg, consts, quantities, max(2, cfg.p))
     asserted = [(q, t, f) for q, t, f in res.fits if q in quantities[:2]]
     _slope_assertions(asserted, res.assertions, "chaos")
     if bounds is not None:
         res.metadata["C4"] = bounds.C4
-    res.metadata["wall_time_s"] = time.perf_counter() - t_start
     return res
 
 
 _RUNNERS = {
-    "riccati_validation": run_riccati_validation,
-    "exactness": run_exactness,
-    "stability": run_stability,
-    "convergence": run_convergence,
-    "chaos": run_chaos,
+    "riccati_validation": _run_riccati_validation,
+    "exactness": _run_exactness,
+    "stability": _run_stability,
+    "convergence": _run_convergence,
+    "chaos": _run_chaos,
 }
 
 
 def run_experiment(cfg: ExperimentConfig, force: bool = False) -> ExperimentResult:
+    """Run ``cfg``'s experiment: the one entry point of all five.
+
+    It refuses a result directory it may not replace, starts the clock,
+    passes the gate :func:`_constants`, runs the experiment, stamps its
+    constants, the run metadata and ``wall_time_s`` on the result, and
+    writes the result files when ``cfg.output_dir`` is set."""
     if cfg.output_dir:
         _check_output_dir(cfg, cfg.output_dir, force)
-    result = _RUNNERS[cfg.name](cfg)
+    t_start = time.perf_counter()
+    consts = _constants(cfg)
+    result = _RUNNERS[cfg.name](cfg, consts)
+    result.constants = consts
+    result.metadata = {**_base_metadata(cfg, consts), **result.metadata,
+                       "wall_time_s": time.perf_counter() - t_start}
     if cfg.output_dir:
         write_result(result, cfg.output_dir, force=force)
     return result

@@ -12,7 +12,7 @@ import math
 import pytest
 
 from enkbf_lab import harness
-from enkbf_lab.harness import default_config, diag2_model, run_experiment, run_riccati_validation
+from enkbf_lab.harness import default_config, diag2_model, run_experiment
 
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
@@ -29,13 +29,13 @@ def announce(capsys, num, ok, detail):
 
 @pytest.fixture(scope="module")
 def validation_scalar():
-    return run_riccati_validation(default_config("riccati_validation"))
+    return run_experiment(default_config("riccati_validation"))
 
 
 @pytest.fixture(scope="module")
 def validation_diag():
     cfg = default_config("riccati_validation", model=diag2_model())
-    return run_riccati_validation(cfg)
+    return run_experiment(cfg)
 
 
 @pytest.fixture(scope="module")

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from enkbf_lab import cli, harness
 from enkbf_lab.harness import (
     AltInit,
+    ConfigRefused,
     ExperimentConfig,
     OutputDirConflict,
     acceptance_model,
@@ -22,10 +23,7 @@ from enkbf_lab.harness import (
     default_config,
     diag2_model,
     load_result_summary,
-    run_exactness,
     run_experiment,
-    run_riccati_validation,
-    run_stability,
     trial_bundle,
     write_result,
 )
@@ -214,7 +212,7 @@ class TestRiccatiValidation:
             psi_dt=1e-3,
             compare_stride_t=0.25,
         )
-        res = run_riccati_validation(cfg)
+        res = run_experiment(cfg)
         assert res.passed, [a for a in res.assertions if not a.passed]
         names = {a.name for a in res.assertions}
         assert {"dre_cross_validation", "are_residual", "psi_envelope",
@@ -232,7 +230,7 @@ class TestRiccatiValidation:
             psi_grid_points=8,
             compare_stride_t=0.25,
         )
-        res = run_riccati_validation(cfg)
+        res = run_experiment(cfg)
         assert res.passed, [a for a in res.assertions if not a.passed]
         s = res.constants.sigma_inf
         assert s[0, 0] == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-8)
@@ -243,7 +241,7 @@ class TestRiccatiValidation:
         cfg = default_config("riccati_validation", model=bad,
                              grid=TimeGrid(T=1.0, dt=1e-3))
         with pytest.raises(AssumptionError):
-            run_riccati_validation(cfg)
+            run_experiment(cfg)
 
     def test_refuses_model_without_a2(self):
         # A1 holds but Sigma_B is singular, so beta = 0 and the envelope is void
@@ -257,7 +255,7 @@ class TestRiccatiValidation:
         cfg = default_config("riccati_validation", model=bad,
                              grid=TimeGrid(T=1.0, dt=1e-3))
         with pytest.raises(AssumptionError, match="riccati_validation refused.*'a2'"):
-            run_riccati_validation(cfg)
+            run_experiment(cfg)
 
 
 @pytest.fixture(scope="module")
@@ -301,7 +299,7 @@ class TestExactness:
             n_copies=4000,
             checkpoints=(1.0, 2.0),
         )
-        res = run_exactness(cfg)
+        res = run_experiment(cfg)
         assert res.passed, [a for a in res.assertions if not a.passed]
         assert res.metadata["cov_path_bitwise"] is True
         gaps = [r for r in res.rows if r.quantity == "mean_gap"]
@@ -317,7 +315,7 @@ class TestExactness:
             checkpoints=(1.0, 2.0),
             init_family="exponential",
         )
-        res = run_exactness(cfg)
+        res = run_experiment(cfg)
         moment_checks = [a for a in res.assertions
                          if a.name.startswith(("mean_gap", "var_ratio"))]
         assert moment_checks and all(a.passed for a in moment_checks)
@@ -334,7 +332,7 @@ class TestStability:
             record_every=50,
             w2_fit_window=(0.5, 3.0),
         )
-        res = run_stability(cfg)
+        res = run_experiment(cfg)
         assert res.passed, [a for a in res.assertions if not a.passed]
         assert res.metadata["w2_decay_rate"] >= 0.5 * res.constants.beta
         w2 = [r.value for r in res.rows if r.quantity == "w2"]
@@ -351,7 +349,7 @@ class TestStability:
             alt_init=AltInit(family="gaussian", mean=1.0, var=1.0),
             w2_fit_window=(0.5, 2.0),
         )
-        res = run_stability(cfg)
+        res = run_experiment(cfg)
         w2 = {r.t: r.value for r in res.rows if r.quantity == "w2"}
         assert w2[2.0] < w2[0.2] < 1.0
 
@@ -504,7 +502,7 @@ class TestDegenerateConfigs:
             "exactness", model=model, grid=TimeGrid(T=0.5, dt=2e-3),
             n_copies=50, checkpoints=(0.5,),
         )
-        res = run_exactness(cfg)
+        res = run_experiment(cfg)
         gap = next(r.value for r in res.rows if r.quantity == "mean_gap")
         assert gap < 1e-12
         assert res.passed, [a for a in res.assertions if not a.passed]
@@ -530,7 +528,86 @@ class TestDegenerateConfigs:
             "stability", model=model, grid=TimeGrid(T=0.5, dt=2e-3), n_copies=100,
         )
         with pytest.raises(AssumptionError, match="beta"):
-            run_stability(cfg)
+            run_experiment(cfg)
+
+
+_NO_A2 = ModelParams(
+    A=np.array([[-1.0, 1.0], [0.0, -1.0]]), H=np.array([[1.0, 0.0]]),
+    sigma_B=np.array([[0.0], [1.0]]), m0=np.zeros(2), Sigma0=np.eye(2),
+)
+_REFUSED = {
+    "convergence_vector_model": (
+        dict(name="convergence", model=diag2_model(), N_list=(25, 50), checkpoints=(0.5,)),
+        "scalar"),
+    "convergence_marginally_stable": (
+        dict(name="convergence", model=ModelParams.scalar(0.0, 1.0, 1.0, 0.0, 1.0),
+             N_list=(25, 50), checkpoints=(0.5,)),
+        r"convergence refused: .*'a3'"),
+    "chaos_deterministic_variant": (
+        dict(name="chaos", variant=DETERMINISTIC_FPF, N_list=(25, 50), checkpoints=(0.5,)),
+        r"variant \(0, 0\)"),
+    "chaos_dt_bias_check": (
+        dict(name="chaos", dt_bias_check=True, N_list=(25, 50), checkpoints=(0.5,)),
+        "dt_bias_check"),
+    "stability_without_a2": (
+        dict(name="stability", model=ModelParams.scalar(-1.0, 1.0, 0.0, 0.0, 1.0), n_copies=100),
+        r"stability refused: .*'a2'.*beta"),
+    "riccati_validation_without_a2": (
+        dict(name="riccati_validation", model=_NO_A2),
+        r"riccati_validation refused.*'a2'"),
+    "exactness_exponential_2d": (
+        dict(name="exactness", model=diag2_model(), init_family="exponential", n_copies=100,
+             checkpoints=(0.5,)),
+        "init_family 'exponential' is scalar only"),
+    "stability_exponential_2d": (
+        dict(name="stability", model=diag2_model(), alt_init=AltInit(family="exponential"),
+             n_copies=100),
+        "alt_init.family 'exponential' is scalar only"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED))
+def test_gate_refuses_before_any_record(case, monkeypatch, tmp_path):
+    over, match = _REFUSED[case]
+    over = dict(over)
+
+    def reached(*args, **kwargs):
+        raise AssertionError("the run went past the gate")
+
+    for name in ("_mean_field_record", "_run_trials", "integrate_dre"):
+        monkeypatch.setattr(harness, name, reached)
+    out = tmp_path / "out"
+    cfg = default_config(over.pop("name"), output_dir=str(out), grid=TimeGrid(T=0.5, dt=2e-3),
+                         **over)
+    with pytest.raises(ConfigRefused, match=match):
+        run_experiment(cfg)
+    assert not out.exists()
+
+
+_TINY = {
+    "riccati_validation": dict(grid=TimeGrid(T=1.0, dt=1e-3), psi_grid_points=4,
+                               compare_stride_t=0.25),
+    "exactness": dict(grid=TimeGrid(T=0.2, dt=2e-3), n_copies=200, checkpoints=(0.2,)),
+    "stability": dict(grid=TimeGrid(T=0.4, dt=2e-3), n_copies=200, record_every=20,
+                      w2_fit_window=(0.1, 0.4)),
+    "convergence": dict(grid=TimeGrid(T=0.2, dt=2e-2), N_list=(10, 20), n_trials=30,
+                        checkpoints=(0.2,), dt_bias_check=True, dt_bias_trials=2),
+    "chaos": dict(grid=TimeGrid(T=0.2, dt=2e-2), N_list=(10, 20), n_trials=30,
+                  checkpoints=(0.2,)),
+}
+
+
+@pytest.mark.parametrize("name", harness.EXPERIMENTS)
+def test_every_experiment_carries_the_run_metadata(name, tmp_path):
+    cfg = default_config(name, output_dir=str(tmp_path / name), **_TINY[name])
+    res = run_experiment(cfg)
+    md = res.metadata
+    assert md["wall_time_s"] > 0.0
+    assert md["config_hash"] == config_hash(cfg)
+    assert md["environment"]["numpy"] == np.__version__
+    assert res.constants is not None and md["beta"] == res.constants.beta
+    echo = load_result_summary(tmp_path / name)
+    assert {"wall_time_s", "config_hash", "environment"} <= set(echo["metadata"])
 
 
 class TestStepLoopBuffers:
@@ -673,9 +750,9 @@ def test_pool_size_clamped_to_jobs_and_cpus(monkeypatch, workers, cpus, expected
     small = dict(N_list=(25,), checkpoints=(0.5,), grid=TimeGrid(T=0.5, dt=5e-2))
     cfg = tiny_convergence_cfg(workers=workers, **small)
     serial = tiny_convergence_cfg(**small)
-    rows = harness.run_convergence(cfg).rows
+    rows = harness.run_experiment(cfg).rows
     assert _RecordingPool.sizes == [expected]
-    assert rows == harness.run_convergence(serial).rows
+    assert rows == harness.run_experiment(serial).rows
 
 
 @given(
@@ -734,7 +811,7 @@ def test_blocks_do_not_depend_on_workers(monkeypatch):
     for workers in (1, 2, 8):
         seen.clear()
         cfg = tiny_convergence_cfg(workers=workers, **small)
-        rows[workers] = harness.run_convergence(cfg).rows
+        rows[workers] = harness.run_experiment(cfg).rows
         bytes_c, bytes_f = harness._particle_bytes(cfg, 10), harness._particle_bytes(cfg, 20)
         assert seen == (harness._blocks("convergence", (10, 25), 30, bytes_c)
                         + harness._blocks("convergence_bias", (25,), 3, bytes_f))
@@ -814,6 +891,41 @@ class TestCli:
             _args(config=str(cfg_path), seed=777), "riccati_validation"
         )
         assert built.master_seed == 777
+
+
+    @pytest.mark.parametrize("flag, value, field", [("--workers", "0", "workers"),
+                                                    ("--seed", "-1", "master_seed")])
+    def test_bad_flag_value_refused_in_one_line(self, flag, value, field, tmp_path, capsys):
+        rc = cli.main(["validate", flag, value, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert len(err.splitlines()) == 1 and field in err
+        assert not (tmp_path / "out").exists()
+
+    def test_gate_refusal_exits_2_in_one_line(self, tmp_path, capsys):
+        cfg = default_config("convergence", model=diag2_model(), grid=TimeGrid(T=0.5, dt=2e-3),
+                             N_list=(25, 50), checkpoints=(0.5,))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_json()))
+        rc = cli.main(["convergence", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.splitlines() == [
+            "convergence refused: the rate experiments need a scalar model, got d = 2, m = 2"]
+        assert not (tmp_path / "out").exists()
+
+    def test_error_while_running_keeps_its_traceback(self, tmp_path, monkeypatch):
+        # an error raised after the gate is not a refusal: it propagates
+        def broken(cfg):
+            raise ValueError("broken record")
+
+        monkeypatch.setattr(harness, "_mean_field_record", broken)
+        cfg = default_config("exactness", grid=TimeGrid(T=0.2, dt=2e-3), n_copies=100,
+                             checkpoints=(0.2,))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_json()))
+        with pytest.raises(ValueError, match="broken record"):
+            cli.main(["exactness", "--config", str(cfg_path)])
 
 
 def _args(config=None, seed=None, workers=None, out=None, force=False):
