@@ -5,10 +5,8 @@ Usage:
     python scripts/run_acceptance_suite.py [--out DIR] [--seed U64] [--workers N]
 
 Writes one subdirectory per experiment (trials.csv, curves.csv, fits.csv,
-constants.txt, config_echo.json) and prints the assertion outcomes.  Exits
-nonzero if any configured assertion fails.  At the defaults a run took
-286 s, about 5 minutes, on a 2-core machine (Python 3.11, numpy 2.4):
-195 s for convergence, 72 s for chaos and 19 s for the rest.
+constants.txt, config_echo.json) and prints the assertion outcomes with each
+experiment's wall time.  Exits nonzero if any configured assertion fails.
 """
 
 import argparse

@@ -69,7 +69,7 @@ def main() -> None:
     # sub-streams of pb.child(i).
     pb = b.child(2)
     N = args.n_particles
-    x = prior_states(model, particle_normals(pb, N, PURPOSE_INIT, model.d))
+    x = prior_states(model, particle_normals(pb, N, PURPOSE_INIT, (1, model.d))[0])
     dB = particle_increments(pb, N, grid, model.d_B, PURPOSE_PROCESS)
     for k in range(grid.n_steps):
         mean, cov = ensemble_moments(x)

@@ -59,19 +59,21 @@ def _build_config(args, experiment: str) -> ExperimentConfig:
     return default_config(experiment, **overrides)
 
 
-def _print_result(result) -> None:
-    print(f"experiment: {result.config.name}")
-    print(f"config hash: {result.metadata.get('config_hash', '?')}")
-    wall = result.metadata.get("wall_time_s")
+def _print_summary(name: str, metadata: dict, assertions, passed: bool, fits=()) -> None:
+    """The summary that a run and ``report`` print: ``metadata`` is the
+    run's metadata, ``assertions`` holds (name, passed, detail) triples."""
+    print(f"experiment: {name}")
+    print(f"config hash: {metadata.get('config_hash', '?')}")
+    wall = metadata.get("wall_time_s")
     if wall is not None:
         print(f"wall time: {wall:.1f}s")
-    for q, t, f in result.fits:
+    for q, t, f in fits:
         print(
             f"  fit {q} at t={t:g}: slope {f.slope:+.3f}, r^2 {f.r_squared:.4f}"
         )
-    for a in result.assertions:
-        print(f"  [{'PASS' if a.passed else 'FAIL'}] {a.name}: {a.detail}")
-    print("PASS" if result.passed else "FAIL")
+    for a_name, a_passed, detail in assertions:
+        print(f"  [{'PASS' if a_passed else 'FAIL'}] {a_name}: {detail}")
+    print("PASS" if passed else "FAIL")
 
 
 def main(argv=None) -> int:
@@ -93,11 +95,9 @@ def main(argv=None) -> int:
         except FileNotFoundError as exc:
             print(str(exc), file=sys.stderr)
             return 2
-        print(f"experiment: {summary['config']['name']}")
-        print(f"config hash: {summary['config_hash']}")
-        for a in summary["assertions"]:
-            print(f"  [{'PASS' if a['passed'] else 'FAIL'}] {a['name']}: {a['detail']}")
-        print("PASS" if summary["passed"] else "FAIL")
+        _print_summary(summary["config"]["name"], summary["metadata"],
+                       [(a["name"], a["passed"], a["detail"]) for a in summary["assertions"]],
+                       summary["passed"])
         return 0 if summary["passed"] else 1
 
     try:
@@ -110,7 +110,9 @@ def main(argv=None) -> int:
     except (OutputDirConflict, ConfigRefused) as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    _print_result(result)
+    _print_summary(result.config.name, result.metadata,
+                   [(a.name, a.passed, a.detail) for a in result.assertions],
+                   result.passed, result.fits)
     return 0 if result.passed else 1
 
 

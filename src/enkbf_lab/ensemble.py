@@ -163,22 +163,20 @@ def init_ensemble(
     """
     if N < 2:
         raise ValueError("N must be at least 2")
-    z = particle_normals(noise, N, PURPOSE_INIT, params.d)
+    z = particle_normals(noise, N, PURPOSE_INIT, (1, params.d))[0]
     return Ensemble(t=t0, states=prior_states(params, z), variant=variant)
 
 
-def particle_normals(noise: NoiseBundle, N: int, purpose: int, shape, batch=(),
-                     time_major=False) -> np.ndarray:
-    """Standard normals of sub-stream ``purpose`` of N particles, shape
-    S + (N,) + shape, or with ``time_major`` (shape[0],) + S + (N,) +
-    shape[1:] (see :meth:`NoiseBundle.child_normals`).
+def particle_normals(noise: NoiseBundle, N: int, purpose: int, shape, batch=()) -> np.ndarray:
+    """Standard normals of sub-stream ``purpose`` of N particles, time
+    first: shape (shape[0],) + S + (N,) + shape[1:] (see
+    :meth:`NoiseBundle.child_normals`).
 
     Particle i draws from ``noise.child(*batch, i, purpose)``.  ``batch``
     holds leading stream-id components; those that are integer arrays
     broadcast to S, which steps many trials' particles together."""
     batch = tuple(c[..., None] if isinstance(c, np.ndarray) else c for c in batch)
-    return noise.child_normals(*batch, np.arange(N), purpose, shape=shape,
-                               time_major=time_major)
+    return noise.child_normals(*batch, np.arange(N), purpose, shape=shape)
 
 
 def particle_increments(
@@ -187,7 +185,7 @@ def particle_increments(
     """Wiener increments N(0, dt I) of N particles over ``grid``, time
     first and contiguous: shape (n_steps,) + S + (N, dim); streams as in
     :func:`particle_normals`."""
-    out = particle_normals(noise, N, purpose, (grid.n_steps, dim), batch, time_major=True)
+    out = particle_normals(noise, N, purpose, (grid.n_steps, dim), batch)
     out *= np.sqrt(grid.dt)
     return out
 

@@ -78,7 +78,6 @@ from .metrics import (
 from .riccati import (
     StabilityConstants,
     explicit_dre_solution,
-    fit_envelope_constant,
     integrate_dre,
     solve_are,
     spectral_norm,
@@ -260,11 +259,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, data: dict, **overrides) -> "ExperimentConfig":
-        """Inverse of :meth:`to_json`; missing keys take the class defaults."""
+        """Inverse of :meth:`to_json`; missing keys take the class defaults.
+        A malformed nested value raises a ValueError naming its key."""
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config key(s) {unknown}")
-        kwargs = {k: _DECODERS[k](v) if k in _DECODERS else v for k, v in data.items()}
+        kwargs = {k: _decode(k, v) if k in _DECODERS else v for k, v in data.items()}
         kwargs.update(overrides)
         return cls(**kwargs)
 
@@ -285,6 +285,19 @@ _DECODERS = {
     "variant": lambda d: VariantParams(**d),
     "alt_init": lambda d: AltInit(**d),
 }
+
+
+def _decode(key: str, value):
+    """The nested config value under ``key``; a value that is not a mapping
+    or that its class refuses raises a ValueError naming ``key``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"config key {key!r} must be a mapping, got {value!r}")
+    try:
+        return _DECODERS[key](value)
+    except KeyError as exc:
+        raise ValueError(f"config key {key!r} is missing {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"config key {key!r}: {exc}") from None
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -433,7 +446,7 @@ def _particle_draws(plan: dict, kind: str, N: int, trials: range, grid: TimeGrid
     model = plan["model"]
     noise = _n_bundle(plan["master_seed"], kind, N)
     batch = (np.asarray(trials), STREAM_PARTICLE)
-    x0 = prior_states(model, particle_normals(noise, N, PURPOSE_INIT, model.d, batch))
+    x0 = prior_states(model, particle_normals(noise, N, PURPOSE_INIT, (1, model.d), batch)[0])
     dB = particle_increments(noise, N, grid, model.d_B, PURPOSE_PROCESS, batch)
     dW = None
     if plan["variant"].gamma2 > 0.0:
@@ -785,18 +798,16 @@ def _run_riccati_validation(cfg: ExperimentConfig, consts: StabilityConstants) -
     nodes = _snap_nodes(psi_grid, cfg.psi_grid_points)
     idx = [psi_grid.index_of(t) for t in nodes]
     psi_segments = transition_segments(0.5, idx, psi_path, model, psi_grid)
-    phi_segments = transition_segments(1.0, idx, psi_path, model, psi_grid)
     eye = np.eye(model.d)
     violations = 0
     min_margin = math.inf
     margin_by_t: dict = {}
-    phi_records = []  # (s, t, norm)
     for i, s in enumerate(nodes):
         # Psi(t_j, t_i) = P_{j-1} ... P_i: products of segments, no inverse,
         # which would cost conditioning on stiff models.
-        Mpsi = Mphi = eye
-        for t, P, F in zip(nodes[i:], [eye] + psi_segments[i:], [eye] + phi_segments[i:]):
-            Mpsi, Mphi = P @ Mpsi, F @ Mphi
+        Mpsi = eye
+        for t, P in zip(nodes[i:], [eye] + psi_segments[i:]):
+            Mpsi = P @ Mpsi
             norm = spectral_norm(Mpsi)
             bound = consts.alpha * math.exp(-consts.beta * (t - s))
             margin = bound - norm
@@ -805,7 +816,6 @@ def _run_riccati_validation(cfg: ExperimentConfig, consts: StabilityConstants) -
                 violations += 1
             key = round(t, 9)
             margin_by_t[key] = min(margin_by_t.get(key, math.inf), margin)
-            phi_records.append((s, t, spectral_norm(Mphi)))
     for t_key in sorted(margin_by_t):
         rows.append(TrialRow(0, 0, t_key, "psi_min_margin", margin_by_t[t_key]))
     if math.isfinite(consts.alpha):
@@ -817,18 +827,9 @@ def _run_riccati_validation(cfg: ExperimentConfig, consts: StabilityConstants) -
                     "(ill-conditioned Sigma_inf), so alpha exp(-beta (t-s)) bounds nothing")
     assertions.append(AssertionOutcome("psi_envelope", *envelope))
 
-    # Envelope constant for the primary flow, with start-time sensitivity.
-    lam = consts.lambda_fit
-    phi_kappa = {}
-    for t0 in (0.0, 0.5, 1.0, 2.0):
-        sel = [(n, t - s) for s, t, n in phi_records if s >= t0 - 1e-12]
-        if sel:
-            norms, gaps = zip(*sel)
-            phi_kappa[t0] = fit_envelope_constant(norms, gaps, lam)
     rows.sort(key=lambda r: r.sort_key())
 
     md = {
-        "phi_kappa_by_t0": phi_kappa,
         "psi_min_margin": min_margin,
         "dre_max_rel_err": max_rel,
         "dre_compare_s": dre_compare_s,
@@ -1064,7 +1065,7 @@ def _rate_experiment(cfg: ExperimentConfig, consts: StabilityConstants | None, q
     curves, fits = [], []
     for q in quantities:
         for t in cfg.checkpoints:
-            curve = mse_curve(rows, q, t, p=cfg.p, min_distinct_N=1)
+            curve = mse_curve(rows, q, t, p=cfg.p)
             curves.extend((q, t, pt) for pt in curve)
             if len(curve) >= 3 and all(pt.estimate > 0.0 for pt in curve):
                 fits.append((q, t, rate_fit(curve)))

@@ -400,20 +400,18 @@ class NoiseBundle:
     def normals(self, shape) -> np.ndarray:
         return self.generator().standard_normal(shape)
 
-    def child_normals(self, *ids, shape=(), time_major=False) -> np.ndarray:
-        """Draws of many child streams at once, shape S + ``shape``.
+    def child_normals(self, *ids, shape) -> np.ndarray:
+        """Draws of many child streams at once, time first: shape
+        (shape[0],) + S + shape[1:], contiguous.
 
         Each of ``ids`` is an int or an integer array; the arrays broadcast
-        to S.  Entry [j] equals ``self.child(*ids_j).normals(shape)`` bit
-        for bit, where ids_j takes entry j of every array.  The keys come
-        from :func:`philox_keys` and one Philox generator is re-keyed per
-        stream, so no per-stream seed sequence or generator is built.
-
-        ``time_major`` puts the first axis of ``shape`` in front: the
-        result has shape (shape[0],) + S + shape[1:], contiguous, and entry
-        [k, j] is draw k of stream j.  Streams are drawn a few at a time
-        into a small stream-major buffer and copied transposed, so each
-        time slice is one contiguous block.
+        to S.  Entry [k, j] equals ``self.child(*ids_j).normals(shape)[k]``
+        bit for bit, where ids_j takes entry j of every array; each time
+        slice is one contiguous block.  The keys come from
+        :func:`philox_keys` and one Philox generator is re-keyed per stream,
+        so no per-stream seed sequence or generator is built.  Streams are
+        drawn a few at a time into a small stream-major buffer and copied
+        transposed.
         """
         shape = (int(shape),) if np.ndim(shape) == 0 else tuple(int(n) for n in shape)
         keys = philox_keys(self.seed, self.stream_id + ids)
@@ -421,10 +419,6 @@ class NoiseBundle:
         keys = keys.reshape(-1, 2).tolist()
         size = math.prod(shape)
         gen = np.random.Generator(np.random.Philox(0))
-        if not time_major:
-            out = np.empty(S + shape)
-            _philox_normals(gen, keys, out.reshape(len(keys), size))
-            return out
         n, rest = shape[0], math.prod(shape[1:])
         out = np.empty((n,) + S + shape[1:])
         by_time = out.reshape(n, len(keys), rest)
@@ -534,18 +528,18 @@ class AssumptionReport:
     mu_A: float
     sigma_B_min_eig: float
 
-    def require(self, *names: str) -> None:
-        failed = [n for n in names if not getattr(self, n)]
-        if failed:
-            raise AssumptionError(f"required assumption(s) {failed} do not hold")
+
+# Real parts above -_RE_TOL count as marginal in the Hautus tests, and mu_A
+# must exceed it for A3.
+_RE_TOL = 1e-10
 
 
-def validate_assumptions(params: ModelParams, re_tol: float = 1e-10) -> AssumptionReport:
+def validate_assumptions(params: ModelParams) -> AssumptionReport:
     """Check the model assumptions; reports flags, never raises.
 
     The Hautus tests evaluate rank [lambda I - A; H] (detectability) and
     rank [lambda I - A, sigma_B] (stabilizability) at every eigenvalue of A
-    with real part >= -re_tol.  Ranks use the SVD threshold
+    with real part >= -_RE_TOL.  Ranks use the SVD threshold
     max(dim) * eps * sigma_max (numpy's matrix_rank default).
     """
     d = params.d
@@ -554,7 +548,7 @@ def validate_assumptions(params: ModelParams, re_tol: float = 1e-10) -> Assumpti
     detectable = True
     stabilizable = True
     for lam in eigs:
-        if lam.real < -re_tol:
+        if lam.real < -_RE_TOL:
             continue
         M_det = np.vstack([lam * I - params.A, params.H.astype(complex)])
         if np.linalg.matrix_rank(M_det) < d:
@@ -566,7 +560,7 @@ def validate_assumptions(params: ModelParams, re_tol: float = 1e-10) -> Assumpti
     min_eig = float(sig_eigs.min())
     a2 = min_eig > 1e-10 * max(1.0, float(sig_eigs.max()))
     mu_A = float(np.min(-eigs.real))
-    a3 = mu_A > re_tol
+    a3 = mu_A > _RE_TOL
     return AssumptionReport(
         a1=detectable and stabilizable,
         a2=a2,

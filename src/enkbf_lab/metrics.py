@@ -60,7 +60,6 @@ class TheoreticalBounds:
     C3: float
     C4: float
     beta: float
-    alpha: float
     mu_A: float
 
     def cov_bound(self, t: float, N: int) -> float:
@@ -81,13 +80,12 @@ def theoretical_bounds(
     mu_A = float(np.min(-np.linalg.eigvals(params.A).real))
     if mu_A <= 0.0:
         raise ValueError(f"mu(A) = {mu_A} must be positive (asymptotic stability)")
-    alpha = consts.alpha
     beta = consts.beta
     sigma0 = float(params.Sigma0[0, 0])
     sigma_inf = float(consts.sigma_inf[0, 0])
     h2 = float(params.H[0, 0]) ** 2
     sigma_b = float(params.Sigma_B[0, 0])
-    a4 = alpha**4
+    a4 = consts.alpha**4
     C1 = 2.0 * a4 * sigma0**2 * double_factorial(2 * p - 1) ** (1.0 / p)
     C2 = 4.0 * (2 * p - 1) * a4 * sigma_inf * (sigma0 + sigma_inf)
     C3 = ((C1 + C2) * h2 + sigma_b) / (2.0 * mu_A)
@@ -98,7 +96,7 @@ def theoretical_bounds(
         + 2.0 * sigma_b / mu_A
     )
     return TheoreticalBounds(
-        p=int(p), C1=C1, C2=C2, C3=C3, C4=C4, beta=beta, alpha=alpha, mu_A=mu_A
+        p=int(p), C1=C1, C2=C2, C3=C3, C4=C4, beta=beta, mu_A=mu_A
     )
 
 
@@ -186,6 +184,7 @@ QUANTITIES = {
 _QUANTITY_ID = {name: i for i, name in enumerate(sorted(QUANTITIES))}
 _BOOT_ENTROPY = 0xB0075EED
 _N_BOOT = 1000  # bootstrap resamples per curve point
+_MIN_TRIALS = 30  # trials each N of a curve needs
 
 
 def _estimate(values: np.ndarray, mode: str, p: int) -> np.ndarray:
@@ -204,15 +203,12 @@ def mse_curve(
     quantity: str,
     t: float,
     p: int = 1,
-    min_trials: int = 30,
-    min_distinct_N: int = 2,
 ) -> list[CurvePoint]:
     """Monte Carlo error curve over N with bootstrap standard errors.
 
     Trials are resampled (``_N_BOOT`` = 1000 draws) at the trial level; the
     reported band is estimate +/- one bootstrap standard deviation.
-    Requires at least two distinct N values with min_trials trials each
-    (degenerate single-N runs may relax min_distinct_N).
+    Requires at least one N, each with ``_MIN_TRIALS`` trials.
     """
     if quantity not in QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}; one of {sorted(QUANTITIES)}")
@@ -221,15 +217,12 @@ def mse_curve(
     for row in records:
         if row.quantity == row_q and abs(row.t - t) <= 1e-9:
             groups.setdefault(row.N, []).append((row.trial, row.value))
-    if len(groups) < min_distinct_N:
-        raise InsufficientTrialsError(
-            f"need at least {min_distinct_N} distinct N values for {quantity!r} "
-            f"at t={t}, found {sorted(groups)}"
-        )
-    short = {N: len(v) for N, v in groups.items() if len(v) < min_trials}
+    if not groups:
+        raise InsufficientTrialsError(f"need at least one N for {quantity!r} at t={t}, found none")
+    short = {N: len(v) for N, v in groups.items() if len(v) < _MIN_TRIALS}
     if short:
         raise InsufficientTrialsError(
-            f"need at least {min_trials} trials per N, found {short}"
+            f"need at least {_MIN_TRIALS} trials per N, found {short}"
         )
     out = []
     for N in sorted(groups):

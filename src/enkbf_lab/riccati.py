@@ -36,7 +36,6 @@ __all__ = [
     "explicit_dre_solution",
     "solve_are",
     "transition_segments",
-    "fit_envelope_constant",
     "spectral_norm",
 ]
 
@@ -368,14 +367,3 @@ def transition_segments(
             M = M + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         segments.append(M)
     return segments
-
-
-def fit_envelope_constant(
-    norms: Sequence[float], gaps: Sequence[float], rate: float
-) -> float:
-    """Smallest kappa with norm <= kappa * exp(-rate * gap) over all samples."""
-    norms = np.asarray(norms, dtype=float)
-    gaps = np.asarray(gaps, dtype=float)
-    if norms.shape != gaps.shape or norms.size == 0:
-        raise ValueError("norms and gaps must be equal-length, non-empty")
-    return float(np.max(norms * np.exp(rate * gaps)))

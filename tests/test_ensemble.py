@@ -468,7 +468,7 @@ class TestBatchedDraws:
         grid = TimeGrid(T=0.05, dt=1e-2)
         trials = np.array([0, 4, 7])
         batch = (trials, 2)
-        x0 = prior_states(model, particle_normals(noise, 20, PURPOSE_INIT, model.d, batch))
+        x0 = prior_states(model, particle_normals(noise, 20, PURPOSE_INIT, (1, model.d), batch)[0])
         dB = particle_increments(noise, 20, grid, model.d_B, PURPOSE_PROCESS, batch)
         dW = particle_increments(noise, 20, grid, model.m, PURPOSE_OBS_PERTURB, batch)
         for j, t in enumerate(trials):

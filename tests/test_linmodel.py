@@ -155,33 +155,35 @@ class TestNoiseBundle:
         prefix=st.lists(st.integers(min_value=0, max_value=2**33), max_size=3),
         trials=st.integers(min_value=1, max_value=3),
         particles=st.integers(min_value=1, max_value=4),
-        shape=st.sampled_from([(), 3, (5, 2), (0, 1)]),
+        shape=st.sampled_from([3, (5, 2), (0, 1)]),
     )
     @settings(max_examples=40, deadline=None)
     def test_batched_draws_equal_per_stream_draws(self, seed, prefix, trials, particles, shape):
+        # the default staging buffer, and an int shape taken as (shape,)
         b = NoiseBundle(seed, tuple(prefix))
         got = b.child_normals(np.arange(trials)[:, None], 2, np.arange(particles), 1, shape=shape)
         want = np.array([[b.child(t, 2, i, 1).generator().standard_normal(shape)
                           for i in range(particles)] for t in range(trials)])
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
+        assert got.shape == np.moveaxis(want, 2, 0).shape
+        assert np.array_equal(got, np.moveaxis(want, 2, 0))
 
     @given(
         seed=st.integers(min_value=0, max_value=2**64),
+        prefix=st.lists(st.integers(min_value=0, max_value=2**33), max_size=3),
         trials=st.integers(min_value=1, max_value=3),
         particles=st.integers(min_value=1, max_value=5),
-        shape=st.sampled_from([(3,), (7, 1), (4, 2), (0, 2)]),
+        shape=st.sampled_from([(3,), (1, 2), (7, 1), (4, 2), (0, 2)]),
         staged=st.integers(min_value=1, max_value=4),
     )
     @settings(max_examples=40, deadline=None)
-    def test_time_major_draws_equal_per_stream_draws(self, seed, trials, particles, shape,
-                                                     staged):
+    def test_time_major_draws_equal_per_stream_draws(self, seed, prefix, trials, particles,
+                                                     shape, staged):
         # a staging buffer of `staged` streams, so the draws cross its chunks
-        b = NoiseBundle(seed, (3,))
+        b = NoiseBundle(seed, tuple(prefix))
         with mock.patch.object(linmodel, "_STAGE_BYTES", 8 * staged * math.prod(shape)):
-            got = b.child_normals(np.arange(trials)[:, None], 2, np.arange(particles),
-                                  shape=shape, time_major=True)
-        want = np.array([[b.child(t, 2, i).generator().standard_normal(shape)
+            got = b.child_normals(np.arange(trials)[:, None], 2, np.arange(particles), 1,
+                                  shape=shape)
+        want = np.array([[b.child(t, 2, i, 1).generator().standard_normal(shape)
                           for i in range(particles)] for t in range(trials)])
         assert got.flags.c_contiguous
         assert got.shape == (shape[0], trials, particles) + shape[1:]
@@ -336,9 +338,4 @@ class TestValidateAssumptions:
         rep = validate_assumptions(m)
         assert not rep.a2
         assert rep.sigma_B_min_eig == 0.0
-
-    def test_require_raises_with_names(self, scalar_model):
-        rep = validate_assumptions(ModelParams.scalar(1.0, 0.0, 1.0, 0.0, 1.0))
-        with pytest.raises(Exception, match="a1"):
-            rep.require("a1")
 

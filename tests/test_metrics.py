@@ -209,10 +209,12 @@ class TestMseCurve:
         c2 = mse_curve(rows, "mean_err", t=1.0)
         assert c1 == c2
 
-    def test_requires_two_distinct_N(self):
+    def test_requires_one_N(self):
+        # rows of another quantity and another time select nothing
         rows = [TrialRow(100, i, 1.0, "coupling_err", 0.1) for i in range(50)]
-        with pytest.raises(InsufficientTrialsError, match="distinct N"):
-            mse_curve(rows, "particle_coupling", t=1.0)
+        for quantity, t in (("mean_err", 1.0), ("particle_coupling", 2.0)):
+            with pytest.raises(InsufficientTrialsError, match="at least one N"):
+                mse_curve(rows, quantity, t=t)
 
     def test_requires_min_trials(self):
         rows = [TrialRow(N, i, 1.0, "coupling_err", 0.1) for N in (50, 100) for i in range(10)]

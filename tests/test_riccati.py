@@ -13,7 +13,6 @@ from enkbf_lab.riccati import (
     CovarianceStepError,
     DegenerateInitialCovariance,
     PathCoverageError,
-    fit_envelope_constant,
     explicit_dre_solution,
     integrate_dre,
     ricc_rhs,
@@ -435,20 +434,6 @@ class TestTransitionFlows:
         path = integrate_dre(scalar_model.Sigma0, scalar_model, grid)
         phi = transition_phi(0.0, 10.0, path, scalar_model, grid)
         assert abs(phi[0, 0]) <= math.exp(-SQRT2 * 10.0)
-
-    def test_phi_envelope_fit_over_grid(self, scalar_model, scalar_consts):
-        grid = TimeGrid(T=5.0, dt=1e-3)
-        path = integrate_dre(scalar_model.Sigma0, scalar_model, grid)
-        lam = 0.9 * scalar_consts.lambda0
-        norms, gaps = [], []
-        for s in (1.0, 2.0, 3.0):
-            for t in (3.5, 4.0, 5.0):
-                norms.append(spectral_norm(transition_phi(s, t, path, scalar_model, grid)))
-                gaps.append(t - s)
-        kappa = fit_envelope_constant(norms, gaps, lam)
-        assert 0.0 < kappa < 10.0
-        for n, g in zip(norms, gaps):
-            assert n <= kappa * math.exp(-lam * g) * (1 + 1e-12)
 
     def test_path_coverage_gap_rejected(self, scalar_model):
         grid = TimeGrid(T=1.0, dt=1e-2)
