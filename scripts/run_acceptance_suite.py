@@ -11,9 +11,9 @@ experiment's wall time.  Exits nonzero if any configured assertion fails.
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
+from enkbf_lab.cli import _print_summary
 from enkbf_lab.harness import EXPERIMENTS, default_config, diag2_model, run_experiment
 
 
@@ -29,31 +29,19 @@ def main() -> int:
     if args.seed is not None:
         overrides["master_seed"] = args.seed
 
+    # each experiment, then a second validation pass on the decoupled 2x2 model
+    runs = [(name, default_config(name, output_dir=str(root / name), **overrides))
+            for name in EXPERIMENTS]
+    runs.append(("riccati_validation (2x2 model)", default_config(
+        "riccati_validation", model=diag2_model(),
+        output_dir=str(root / "riccati_validation_2x2"), **overrides)))
     all_ok = True
-    for name in EXPERIMENTS:
-        t0 = time.perf_counter()
-        cfg = default_config(name, output_dir=str(root / name), **overrides)
+    for label, cfg in runs:
         result = run_experiment(cfg, force=True)
-        status = "PASS" if result.passed else "FAIL"
-        print(f"[{status}] {name} ({time.perf_counter() - t0:.1f}s)")
-        for a in result.assertions:
-            print(f"    [{'PASS' if a.passed else 'FAIL'}] {a.name}: {a.detail}")
-        for q, t, f in result.fits:
-            print(f"    fit {q} t={t:g}: slope {f.slope:+.3f} r2 {f.r_squared:.4f}")
+        _print_summary(label, result.metadata,
+                       [(a.name, a.passed, a.detail) for a in result.assertions],
+                       result.passed, result.fits)
         all_ok = all_ok and result.passed
-
-    # second validation pass on the decoupled 2x2 model
-    t0 = time.perf_counter()
-    cfg = default_config(
-        "riccati_validation",
-        model=diag2_model(),
-        output_dir=str(root / "riccati_validation_2x2"),
-        **overrides,
-    )
-    result = run_experiment(cfg, force=True)
-    status = "PASS" if result.passed else "FAIL"
-    print(f"[{status}] riccati_validation (2x2 model) ({time.perf_counter() - t0:.1f}s)")
-    all_ok = all_ok and result.passed
 
     print("ALL PASS" if all_ok else "FAILURES PRESENT")
     return 0 if all_ok else 1

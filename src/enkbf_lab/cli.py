@@ -2,15 +2,16 @@
 
 Subcommands: validate, exactness, stability, convergence, chaos, report.
 An experiment exits with status 0 iff all of its configured assertions pass.
-A refused flag value, config, model or result directory prints one line on
-stderr and exits with status 2; an error raised while an experiment runs
-keeps its traceback.
+A refused flag value, config, model, result directory or result echo prints
+one line on stderr and exits with status 2; an error raised while an
+experiment runs keeps its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .harness import (
     ConfigRefused,
@@ -91,14 +92,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "report":
         try:
-            summary = load_result_summary(args.dir)
-        except FileNotFoundError as exc:
+            s = load_result_summary(args.dir)
+            name, metadata, passed = s["config"]["name"], dict(s["metadata"]), s["passed"]
+            assertions = [(a["name"], a["passed"], a["detail"]) for a in s["assertions"]]
+        except OSError as exc:
             print(str(exc), file=sys.stderr)
             return 2
-        _print_summary(summary["config"]["name"], summary["metadata"],
-                       [(a["name"], a["passed"], a["detail"]) for a in summary["assertions"]],
-                       summary["passed"])
-        return 0 if summary["passed"] else 1
+        except (ValueError, LookupError, TypeError) as exc:
+            print(f"{Path(args.dir) / 'config_echo.json'} is not a result echo: {exc!r}",
+                  file=sys.stderr)
+            return 2
+        _print_summary(name, metadata, assertions, passed)
+        return 0 if passed else 1
 
     try:
         cfg = _build_config(args, _SUBCOMMAND_TO_EXPERIMENT[args.command])

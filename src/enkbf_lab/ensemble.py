@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linmodel import ModelParams, NoiseBundle, TimeGrid, psd_sqrt
+from .linmodel import ModelParams, NoiseBundle, TimeGrid, _real, psd_sqrt
 
 __all__ = [
     "VariantParams",
@@ -64,7 +64,7 @@ class VariantParams:
 
     def __post_init__(self):
         for name in ("gamma1", "gamma2"):
-            v = float(getattr(self, name))
+            v = _real(name, getattr(self, name))
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
             object.__setattr__(self, name, v)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 import os
 import platform
 import shutil
@@ -60,6 +59,9 @@ from .linmodel import (
     ModelParams,
     NoiseBundle,
     TimeGrid,
+    _integer,
+    _real,
+    _sequence,
     psd_sqrt,
     simulate_observations,
     simulate_truth,
@@ -131,20 +133,6 @@ class ConfigRefused(AssumptionError, ValueError):
     and an AssumptionError, so a handler of either catches it."""
 
 
-def _integer(name: str, v) -> int:
-    """``v`` as an int; a bool or a non-integer number is refused by name."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {v!r}")
-    return int(v)
-
-
-def _real(name: str, v) -> float:
-    """``v`` as a float; a bool or a non-number is refused by name."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {v!r}")
-    return float(v)
-
-
 @dataclass(frozen=True)
 class AltInit:
     """Misspecified initial law for the stability experiment.
@@ -193,30 +181,18 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.name not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.name!r}; one of {EXPERIMENTS}")
-        for name in _INT_FIELDS:
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name, least in _INT_FIELDS.items():
+            object.__setattr__(self, name, _integer(name, getattr(self, name), least))
         if not isinstance(self.dt_bias_check, bool):
             raise ValueError(f"dt_bias_check must be a bool, got {self.dt_bias_check!r}")
-        N_list = tuple(_integer("N_list entry", N) for N in self.N_list)
-        if sorted(set(N_list)) != sorted(N_list):
+        N_list = _sequence("N_list", self.N_list, partial(_integer, least=2))
+        if len(set(N_list)) != len(N_list):
             raise ValueError("N_list must not contain duplicates")
         object.__setattr__(self, "N_list", tuple(sorted(N_list)))
         for name in ("checkpoints", "w2_fit_window"):
-            object.__setattr__(self, name, tuple(_real(f"{name} entry", t)
-                                                 for t in getattr(self, name)))
+            object.__setattr__(self, name, _sequence(name, getattr(self, name), _real))
         for name in ("compare_stride_t", "psi_dt"):
             object.__setattr__(self, name, _real(name, getattr(self, name)))
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be positive")
-        if self.p < 1:
-            raise ValueError("p must be a positive integer")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be a non-negative integer")
-        for name, low in (("record_every", 1), ("n_copies", 2), ("workers", 1),
-                          ("psi_grid_points", 2), ("dt_bias_trials", 1)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
-        for name in ("compare_stride_t", "psi_dt"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         try:
@@ -237,8 +213,6 @@ class ExperimentConfig:
                 raise ValueError(
                     f"{self.name} requires N > 4p = {4 * self.p} for every N; got {bad}"
                 )
-        if any(N < 2 for N in self.N_list):
-            raise ValueError("every N must be at least 2")
 
     def to_json(self) -> dict:
         """Every field but the runtime knobs (output_dir, workers), which do
@@ -275,8 +249,9 @@ class ExperimentConfig:
 
 
 _RUNTIME_FIELDS = ("output_dir", "workers")
-_INT_FIELDS = ("n_trials", "p", "master_seed", "n_copies", "record_every",
-               "psi_grid_points", "dt_bias_trials", "workers")
+# The integer fields and their least values.
+_INT_FIELDS = {"n_trials": 1, "p": 1, "master_seed": 0, "n_copies": 2, "record_every": 1,
+               "psi_grid_points": 2, "dt_bias_trials": 1, "workers": 1}
 
 
 _DECODERS = {
@@ -417,8 +392,6 @@ def trial_bundle(master_seed: int, name: str, N: int, trial: int) -> NoiseBundle
 
 
 def _cov_err(S: np.ndarray, S_ref: np.ndarray) -> float:
-    if S.shape == (1, 1):
-        return abs(float(S[0, 0]) - float(S_ref[0, 0]))
     return float(np.linalg.norm(S - S_ref, "fro"))
 
 
@@ -1242,9 +1215,9 @@ def _check_output_dir(cfg: ExperimentConfig, out_dir, force: bool) -> None:
     echo_path = out / "config_echo.json"
     if not echo_path.exists():
         return
-    try:
+    try:  # an unreadable echo, or one that is not an object, has no hash
         old_hash = json.loads(echo_path.read_text())["config_hash"]
-    except (json.JSONDecodeError, KeyError):
+    except (ValueError, LookupError, TypeError):
         old_hash = None
     new_hash = config_hash(cfg)
     if old_hash != new_hash and not force:

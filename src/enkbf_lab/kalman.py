@@ -6,12 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linmodel import ModelParams, TimeGrid, symmetrize
+from .linmodel import _PSD_TOL, ModelParams, TimeGrid, symmetrize
 from .riccati import integrate_dre
 
 __all__ = ["FilterState", "FilterPath", "kb_filter"]
-
-_PSD_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)

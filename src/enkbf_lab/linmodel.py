@@ -8,6 +8,7 @@ Riccati flows, particle systems) consumes the immutable objects defined here.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -44,6 +45,31 @@ _PSD_TOL = 1e-10
 
 class AssumptionError(RuntimeError):
     """A model assumption required by the requested operation does not hold."""
+
+
+def _integer(name: str, v, least: int | None = None) -> int:
+    """``v`` as an int; a bool, a non-integer number or a value below
+    ``least`` is refused by name."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    if least is not None and v < least:
+        raise ValueError(f"{name} must be at least {least}, got {v!r}")
+    return int(v)
+
+
+def _real(name: str, v) -> float:
+    """``v`` as a float; a bool or a non-number is refused by name."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {v!r}")
+    return float(v)
+
+
+def _sequence(name: str, v, entry) -> tuple:
+    """``v``'s items through the checker ``entry``; a value that is not a
+    list or tuple is refused by name."""
+    if not isinstance(v, (list, tuple)):
+        raise ValueError(f"{name} must be a list, got {v!r}")
+    return tuple(entry(f"{name} entry", x) for x in v)
 
 
 def symmetrize(M: np.ndarray) -> np.ndarray:
@@ -152,27 +178,23 @@ class ModelParams:
         """Build from a configuration mapping.
 
         Expected keys: ``d``, ``m``, ``d_B`` (dimensions) and ``A``, ``H``,
-        ``sigma_B``, ``m0``, ``Sigma0`` as flat row-major lists.
+        ``sigma_B``, ``m0``, ``Sigma0`` as flat row-major lists.  A missing
+        key raises a KeyError; an unknown key or a malformed value raises a
+        ValueError naming it.
         """
-        d = int(cfg["d"])
-        m = int(cfg["m"])
-        d_B = int(cfg["d_B"])
+        d, m, d_B = (_integer(k, cfg[k], 1) for k in ("d", "m", "d_B"))
+        shapes = {"A": (d, d), "H": (m, d), "sigma_B": (d, d_B), "m0": (d,), "Sigma0": (d, d)}
+        unknown = sorted(set(cfg) - {"d", "m", "d_B", *shapes})
+        if unknown:
+            raise ValueError(f"unknown model key(s) {unknown}")
 
-        def grab(key, rows, cols):
-            flat = np.asarray(cfg[key], dtype=float).ravel()
-            if flat.size != rows * cols:
-                raise ValueError(
-                    f"config key {key!r} has {flat.size} entries, expected {rows * cols}"
-                )
-            return flat.reshape(rows, cols)
+        def grab(key):
+            flat, size = _sequence(key, cfg[key], _real), math.prod(shapes[key])
+            if len(flat) != size:
+                raise ValueError(f"config key {key!r} has {len(flat)} entries, expected {size}")
+            return np.reshape(flat, shapes[key])
 
-        return cls(
-            A=grab("A", d, d),
-            H=grab("H", m, d),
-            sigma_B=grab("sigma_B", d, d_B),
-            m0=np.asarray(cfg["m0"], dtype=float).reshape(d),
-            Sigma0=grab("Sigma0", d, d),
-        )
+        return cls(**{key: grab(key) for key in shapes})
 
     def to_config(self) -> dict:
         return {
@@ -197,6 +219,8 @@ class TimeGrid:
     n_steps: int = field(init=False, compare=False)
 
     def __post_init__(self):
+        for name in ("T", "dt", "t0"):
+            _real(name, getattr(self, name))  # stored as given: the config hash sees it
         if not (self.dt > 0.0):
             raise ValueError("dt must be positive")
         if not (self.T > self.t0):

@@ -9,7 +9,7 @@ computed here once and carried around as :class:`StabilityConstants`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -209,24 +209,14 @@ class StabilityConstants:
     fit_dt: float
 
     def to_text(self) -> str:
-        def fmt(M):
+        def fmt(v):
+            if not isinstance(v, np.ndarray):
+                return repr(v)
             return "[" + "; ".join(
-                " ".join(repr(float(v)) for v in row) for row in np.atleast_2d(M)
+                " ".join(repr(float(x)) for x in row) for row in np.atleast_2d(v)
             ) + "]"
 
-        lines = [
-            f"sigma_inf = {fmt(self.sigma_inf)}",
-            f"f_inf = {fmt(self.f_inf)}",
-            f"lambda0 = {self.lambda0!r}",
-            f"beta = {self.beta!r}",
-            f"alpha = {self.alpha!r}",
-            f"m1_hat = {self.m1_hat!r}",
-            f"are_residual = {self.are_residual!r}",
-            f"lambda_fit = {self.lambda_fit!r}",
-            f"fit_T = {self.fit_T!r}",
-            f"fit_dt = {self.fit_dt!r}",
-        ]
-        return "\n".join(lines) + "\n"
+        return "".join(f"{f.name} = {fmt(getattr(self, f.name))}\n" for f in fields(self))
 
 
 def solve_are(params: ModelParams) -> StabilityConstants:

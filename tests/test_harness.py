@@ -104,6 +104,7 @@ class TestConfig:
         ("compare_stride_t", True), ("compare_stride_t", "0.05"), ("psi_dt", "0.001"),
         ("checkpoints", ("0.5",)), ("checkpoints", (True,)), ("w2_fit_window", ("0.5", 5.0)),
         ("w2_fit_window", (0.5, True)), ("mean", "5"), ("mean", True), ("var", "3"),
+        ("N_list", 5), ("checkpoints", 1.0), ("w2_fit_window", None),
     ])
     def test_bad_field_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -156,6 +157,9 @@ def _configs(draw):
     )
 
 
+_SCALAR_CONFIG = acceptance_model().to_config()
+
+
 class TestConfigCodec:
     @given(cfg=_configs())
     @settings(max_examples=100, deadline=None)
@@ -191,7 +195,16 @@ class TestConfigCodec:
         ("alt_init", {"famly": "gaussian"}, "'alt_init': .*famly"),
         ("model", {"d": 1, "d_B": 1, "A": [-1.0], "H": [1.0], "sigma_B": [1.0],
                    "m0": [0.0], "Sigma0": [1.0]}, "'model' is missing 'm'"),
-    ], ids=["grid", "variant", "alt_init", "model"])
+        ("model", {**_SCALAR_CONFIG, "d": 1.5}, "'model': d must be an integer"),
+        ("model", {**_SCALAR_CONFIG, "d": True}, "'model': d must be an integer"),
+        ("model", {**_SCALAR_CONFIG, "A": ["-1"]}, "'model': A entry must be a real number"),
+        ("model", {**_SCALAR_CONFIG, "sigma_b": [2.0]}, "'model': unknown model key.*'sigma_b'"),
+        ("grid", {"T": 1.0, "dt": True}, "'grid': dt must be a real number"),
+        ("grid", {"T": "1.0", "dt": 1e-3}, "'grid': T must be a real number"),
+        ("variant", {"gamma1": "1", "gamma2": 0.0}, "'variant': gamma1 must be a real number"),
+    ], ids=["grid", "variant", "alt_init", "model", "model_d_fraction", "model_d_bool",
+            "model_string_entry", "model_misspelt_key", "grid_dt_bool", "grid_T_string",
+            "variant_gamma1_string"])
     def test_malformed_nested_value_rejected_by_key(self, key, value, match):
         data = default_config("stability", grid=TimeGrid(T=1.0, dt=1e-3)).to_json()
         data[key] = value
@@ -923,6 +936,53 @@ class TestCli:
         assert rc == 2
         assert err.splitlines() == ["config key 'grid' must be a mapping, got 5"]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, field, value", [
+        ("model", "d", 1.5), ("model", "d", True), ("model", "A", ["-1"]),
+        ("model", "sigma_b", [2.0]), ("grid", "dt", True), ("grid", "T", "1.0"),
+        ("variant", "gamma1", "1"), (None, "N_list", 5), (None, "checkpoints", 1.0),
+        (None, "w2_fit_window", None),
+    ], ids=["model_d_fraction", "model_d_bool", "model_string_entry", "model_misspelt_key",
+            "grid_dt_bool", "grid_T_string", "variant_gamma1_string", "N_list_scalar",
+            "checkpoints_scalar", "w2_fit_window_null"])
+    def test_malformed_value_refused_in_one_line(self, key, field, value, tmp_path, capsys):
+        data = default_config("riccati_validation", grid=TimeGrid(T=1.0, dt=1e-3)).to_json()
+        (data[key] if key else data)[field] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        rc = cli.main(["validate", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert len(err.splitlines()) == 1 and field in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", [
+        '{"config": {"name": "exact',
+        '{"config": {}, "metadata": {}, "assertions": [], "passed": true}',
+    ], ids=["truncated", "no_name"])
+    def test_report_of_malformed_echo_refused_in_one_line(self, text, tmp_path, capsys):
+        (tmp_path / "config_echo.json").write_text(text)
+        rc = cli.main(["report", "--dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert len(err.splitlines()) == 1 and str(tmp_path / "config_echo.json") in err
+
+    def test_non_object_echo_replaced_only_with_force(self, tmp_path, capsys):
+        cfg = default_config("exactness", grid=TimeGrid(T=0.2, dt=2e-3), n_copies=100,
+                             checkpoints=(0.2,))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_json()))
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "config_echo.json").write_text("[]")
+        argv = ["exactness", "--config", str(cfg_path), "--out", str(out)]
+        rc = cli.main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert len(err.splitlines()) == 1 and str(out) in err
+        assert (out / "config_echo.json").read_text() == "[]"
+        assert cli.main(argv + ["--force"]) in (0, 1)
+        assert load_result_summary(out)["config_hash"] == config_hash(cfg)
 
     def test_gate_refusal_exits_2_in_one_line(self, tmp_path, capsys):
         cfg = default_config("convergence", model=diag2_model(), grid=TimeGrid(T=0.5, dt=2e-3),
